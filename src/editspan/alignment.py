@@ -15,9 +15,9 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from editspan.codec import EditScript, EditSpan
+from editspan.codec import EditScript, EditSpan, apply_edits
 from editspan.errors import ConfigError
-from editspan.text import AnnotatedToken, Sentence, annotate
+from editspan.text import AnnotatedToken, Sentence, annotate, parse_pair_line, tokenize
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,9 @@ def sub_cost(
     Zero for identical surfaces; otherwise the discounted, clamped base cost.
     """
     w = weights or DEFAULT_WEIGHTS
-    if a.token.surface == b.token.surface:
+    if a.surface == b.surface:
         return 0.0
-    return _discounted_sub(a.token.surface, b.token.surface, a.lemma == b.lemma, a.pos == b.pos, w)
+    return _discounted_sub(a.surface, b.surface, a.lemma == b.lemma, a.pos == b.pos, w)
 
 
 # backpointer codes, listed in tie-break preference order
@@ -196,10 +196,10 @@ def align(
     """
     w = weights or DEFAULT_WEIGHTS
     n, m = len(src), len(tgt)
-    s_surf = [a.token.surface for a in src]
+    s_surf = [a.surface for a in src]
     s_lem = [a.lemma for a in src]
     s_pos = [a.pos for a in src]
-    t_surf = [a.token.surface for a in tgt]
+    t_surf = [a.surface for a in tgt]
     t_lem = [a.lemma for a in tgt]
     t_pos = [a.pos for a in tgt]
     ins_c, del_c, trans_c = w.insert_cost, w.delete_cost, w.transpose_cost
@@ -333,3 +333,33 @@ def extract_spans(
         if op.kind is not OpKind.MATCH
     ]
     return EditScript(tuple(spans), len(src))
+
+
+def canonicalize(
+    script: EditScript,
+    src: Sentence,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+) -> EditScript:
+    """Re-extract the script's effect as the alignment would have produced it.
+
+    Applies ``script`` to ``src`` and extracts spans from the resulting pair.
+    Idempotent: canonical scripts map to themselves.
+    """
+    return extract_spans(src, apply_edits(script, src), provider, weights)
+
+
+def extract_line(
+    line: str,
+    lineno: int = 0,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+) -> tuple[Sentence, Sentence, EditScript]:
+    """Parse one ``source<TAB>target`` line, tokenize both sides, and extract spans.
+
+    Raises:
+        PairLineError: the line is not exactly two tab-separated fields.
+    """
+    src_text, tgt_text = parse_pair_line(line, lineno)
+    src, tgt = tokenize(src_text), tokenize(tgt_text)
+    return src, tgt, extract_spans(src, tgt, provider, weights)

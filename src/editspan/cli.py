@@ -12,7 +12,7 @@ import multiprocessing
 import sys
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
-from editspan.alignment import CostWeights, extract_spans, read_kv_config
+from editspan.alignment import CostWeights, extract_line, read_kv_config
 from editspan.codec import apply_edits, parse, serialize
 from editspan.dataset import (
     MixSpec,
@@ -24,7 +24,7 @@ from editspan.dataset import (
 )
 from editspan.errors import ConfigError, DataError
 from editspan.metrics import PairStats, pair_stats, reduce_stats
-from editspan.text import detokenize, make_provider, parse_pair_line, tokenize
+from editspan.text import detokenize, make_provider, tokenize
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,9 +55,7 @@ def _map_lines(
 
 def _extract_one(numbered: tuple[int, str]) -> str:
     lineno, line = numbered
-    src_text, tgt_text = parse_pair_line(line, lineno)
-    script = extract_spans(tokenize(src_text), tokenize(tgt_text), _PROVIDER, _WEIGHTS)
-    return serialize(script)
+    return serialize(extract_line(line, lineno, _PROVIDER, _WEIGHTS)[2])
 
 
 def _apply_one(numbered: tuple[int, str, str]) -> tuple[str, int]:
@@ -74,9 +72,7 @@ def _score_one(row: tuple[str, str, str]) -> PairStats:
 
 def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
     lineno, line = numbered
-    src_text, tgt_text = parse_pair_line(line, lineno)
-    src, tgt = tokenize(src_text), tokenize(tgt_text)
-    script = extract_spans(src, tgt, _PROVIDER, _WEIGHTS)
+    src, tgt, script = extract_line(line, lineno, _PROVIDER, _WEIGHTS)
     report = parse(serialize(script), len(src))
     if report.ignored:
         return f"line {lineno}: serialized spans did not parse back cleanly"
@@ -87,11 +83,6 @@ def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
             f"!= {detokenize(tgt)!r}"
         )
     return None
-
-
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        return [line.rstrip("\r\n") for line in handle]
 
 
 def _iter_lines(path: str) -> Iterator[str]:
@@ -138,9 +129,8 @@ def _zip_strict(name_a: str, lines_a: list[str], name_b: str, lines_b: list[str]
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    provider, weights = _load_provider(args), _load_weights(args)
-    sources = _read_lines(args.sources)
-    spans = _read_lines(args.spans)
+    sources = list(_iter_lines(args.sources))
+    spans = list(_iter_lines(args.spans))
     rows = [
         (lineno, source, span_text)
         for lineno, (source, span_text) in enumerate(
@@ -150,7 +140,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     ignored_total = 0
     out = _open_output(args.output)
     try:
-        for text, ignored in _map_lines(_apply_one, rows, args.jobs, provider, weights):
+        for text, ignored in _map_lines(_apply_one, rows, args.jobs, None, None):
             ignored_total += ignored
             print(text, file=out)
     finally:
@@ -166,9 +156,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     provider, weights = _load_provider(args), _load_weights(args)
-    sources = _read_lines(args.sources)
-    spans = _read_lines(args.spans)
-    targets = _read_lines(args.targets)
+    sources = list(_iter_lines(args.sources))
+    spans = list(_iter_lines(args.spans))
+    targets = list(_iter_lines(args.targets))
     if not len(sources) == len(spans) == len(targets):
         raise DataError(
             f"line counts differ: sources has {len(sources)}, spans has "
@@ -246,7 +236,10 @@ def _build_parser() -> _Parser:
         prog="editspan",
         description="Extract, apply, and score edit spans; build instruction datasets.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    # alignment settings, for the commands that extract spans
+    common = argparse.ArgumentParser(add_help=False, parents=[jobs])
     common.add_argument("--weights", metavar="FILE", help="cost weights as key = value lines")
     common.add_argument(
         "--provider", choices=("naive", "sidecar"), default="naive",
@@ -255,12 +248,6 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--annotations", metavar="FILE",
         help="sidecar annotations: surface<TAB>lemma<TAB>pos, blank line between sentences",
-    )
-    common.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
-    common.add_argument(
-        "--report", choices=("json", "text"), default="json",
-        help="score report format (default: json)",
     )
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -274,7 +261,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser(
-        "apply", parents=[common],
+        "apply", parents=[jobs],
         help="apply serialized spans to source sentences",
     )
     p.add_argument("sources", help="source sentences, one per line")
@@ -289,6 +276,10 @@ def _build_parser() -> _Parser:
     p.add_argument("sources", help="source sentences, one per line")
     p.add_argument("spans", help="hypothesis span lines aligned with the sources")
     p.add_argument("targets", help="gold target sentences, one per line")
+    p.add_argument(
+        "--report", choices=("json", "text"), default="json",
+        help="report format (default: json)",
+    )
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser(
@@ -304,6 +295,7 @@ def _build_parser() -> _Parser:
         help="pre-existing open-ended instruction records",
     )
     p.add_argument("--output", "-o", required=True, metavar="JSONL", help="output dataset path")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
     p.add_argument(
         "--per-task", type=int, default=MixSpec.per_task_count, metavar="N",
         help=f"records sampled per rewriting task (default: {MixSpec.per_task_count})",

@@ -13,7 +13,9 @@ Parsing is total: malformed fragments are dropped and reported through a
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from editspan.errors import DataError
 from editspan.text import Sentence
@@ -118,13 +120,6 @@ def split_fragments(text: str) -> list[str]:
     return fragments
 
 
-def _conflicts(a: EditSpan, b: EditSpan) -> bool:
-    if a.start == b.start:
-        return True
-    lo, hi = (a, b) if a.start < b.start else (b, a)
-    return lo.end > hi.start
-
-
 def parse(text: str, source_len: int) -> ParseReport:
     """Parse serialized span text against a source of ``source_len`` tokens.
 
@@ -139,6 +134,8 @@ def parse(text: str, source_len: int) -> ParseReport:
     if text.strip() == NONE_SENTINEL:
         return ParseReport(EditScript((), source_len))
     notes: list[str] = []
+    # kept sorted by start; accepted spans are disjoint, so a candidate can
+    # only overlap its nearest neighbours on either side
     accepted: list[EditSpan] = []
     for idx, fragment in enumerate(split_fragments(text)):
         tokens = fragment.split()
@@ -157,12 +154,13 @@ def parse(text: str, source_len: int) -> ParseReport:
         if start == end and not replacement:
             notes.append(f"discarded fragment {idx}: span changes nothing: {shown!r}")
             continue
-        candidate = EditSpan(start, end, replacement)
-        if any(_conflicts(prior, candidate) for prior in accepted):
+        at = bisect_left(accepted, start, key=attrgetter("start"))
+        if (at and accepted[at - 1].end > start) or (
+            at < len(accepted) and (accepted[at].start == start or end > accepted[at].start)
+        ):
             notes.append(f"discarded fragment {idx}: overlaps an earlier span: {shown!r}")
             continue
-        accepted.append(candidate)
-    accepted.sort(key=lambda s: (s.start, s.end))
+        accepted.insert(at, EditSpan(start, end, replacement))
     return ParseReport(EditScript(tuple(accepted), source_len), len(notes), tuple(notes))
 
 
@@ -181,20 +179,4 @@ def apply_edits(script: EditScript, src: Sentence) -> Sentence:
     # leaves every remaining span's positions untouched
     for span in reversed(script.spans):
         surfaces[span.start:span.end] = span.replacement
-    return Sentence.from_surfaces(surfaces)
-
-
-def canonicalize(
-    script: EditScript,
-    src: Sentence,
-    provider=None,
-    weights=None,
-) -> EditScript:
-    """Re-extract the script's effect as the alignment would have produced it.
-
-    Applies ``script`` to ``src`` and extracts spans from the resulting pair.
-    Idempotent: canonical scripts map to themselves.
-    """
-    from editspan.alignment import extract_spans
-
-    return extract_spans(src, apply_edits(script, src), provider, weights)
+    return Sentence(tuple(surfaces))

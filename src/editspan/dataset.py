@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from editspan.alignment import CostWeights, extract_spans
+from editspan.alignment import CostWeights, extract_line
 from editspan.codec import apply_edits, parse, serialize
-from editspan.errors import ConfigError, DataError
-from editspan.text import detokenize, parse_pair_line, tokenize
+from editspan.errors import ConfigError, DataError, PairLineError
+from editspan.text import detokenize, tokenize
 
 TASK_INSTRUCTIONS: dict[str, str] = {
     "gec": "Rewrite the input text into grammatically correct text.",
@@ -88,12 +88,10 @@ def build_task_records(
     skipped: list[str] = []
     for lineno, line in enumerate(lines, 1):
         try:
-            src_text, tgt_text = parse_pair_line(line, lineno)
-        except DataError as exc:
+            src, _, script = extract_line(line, lineno, provider, weights)
+        except PairLineError as exc:
             skipped.append(str(exc))
             continue
-        src, tgt = tokenize(src_text), tokenize(tgt_text)
-        script = extract_spans(src, tgt, provider, weights)
         records.append(DatasetRecord(text, detokenize(src), serialize(script), task))
     return records, skipped
 

@@ -11,3 +11,7 @@ class ConfigError(EditSpanError):
 
 class DataError(EditSpanError):
     """Malformed input data, or a contract violation between data artifacts."""
+
+
+class PairLineError(DataError):
+    """A corpus line that is not exactly one ``source<TAB>target`` pair."""

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from editspan.alignment import CostWeights, extract_spans
-from editspan.codec import EditScript, canonicalize, parse
+from editspan.alignment import CostWeights, canonicalize, extract_spans
+from editspan.codec import EditScript, parse
 from editspan.errors import DataError
 from editspan.text import Sentence, detokenize
 

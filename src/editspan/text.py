@@ -2,19 +2,19 @@
 
 Text is treated as pre-tokenized: tokens are whitespace-delimited, and token
 or gap indices are only comparable between strings tokenized identically.
-Linguistic annotation (lemma, coarse POS, character class) comes from a
-provider so the signal can be a cheap heuristic or an external tagger's
-output shipped in a sidecar file.
+Linguistic annotation (lemma, coarse POS) comes from a provider so the
+signal can be a cheap heuristic or an external tagger's output shipped in a
+sidecar file.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence, Union
+from typing import Mapping, NamedTuple, Protocol, Sequence, Union
 
-from editspan.errors import ConfigError, DataError
+from editspan.errors import ConfigError, DataError, PairLineError
 
 POS_TAGS = frozenset({
     "NOUN", "VERB", "ADJ", "ADV", "PRON", "DET",
@@ -23,8 +23,6 @@ POS_TAGS = frozenset({
 
 # collapse tags from richer tagsets (e.g. UPOS in sidecar files) onto ours
 _POS_ALIASES = {"PROPN": "NOUN", "AUX": "VERB", "CCONJ": "CONJ", "SCONJ": "CONJ"}
-
-CHAR_CLASSES = ("alphabetic", "numeric", "punctuation", "mixed")
 
 
 def char_class(surface: str) -> str:
@@ -45,81 +43,44 @@ def normalize_pos(tag: str) -> str:
     return t if t in POS_TAGS else "OTHER"
 
 
-@dataclass(frozen=True)
-class Token:
-    """One whitespace-delimited token and its 0-based position."""
-
-    surface: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if not self.surface or any(c.isspace() for c in self.surface):
-            raise ValueError(
-                f"token surface must be non-empty with no whitespace: {self.surface!r}"
-            )
-        if self.index < 0:
-            raise ValueError(f"token index must be non-negative: {self.index}")
-
-
-@dataclass(frozen=True)
-class AnnotatedToken:
-    """A token plus the linguistic signal used for alignment costs.
+class AnnotatedToken(NamedTuple):
+    """A token surface plus the linguistic signal used for alignment costs.
 
     Attributes:
-        token: the underlying surface token.
+        surface: the token text.
         lemma: non-empty lowercase lemma.
         pos: coarse POS tag from ``POS_TAGS``.
-        char_class: one of ``CHAR_CLASSES``, derived from the surface.
     """
 
-    token: Token
+    surface: str
     lemma: str
     pos: str
-    char_class: str
-
-    def __post_init__(self) -> None:
-        if not self.lemma:
-            raise ValueError("lemma must be non-empty")
-        if self.pos not in POS_TAGS:
-            raise ValueError(f"unknown POS tag: {self.pos!r}")
-        if self.char_class not in CHAR_CLASSES:
-            raise ValueError(f"unknown character class: {self.char_class!r}")
 
 
 @dataclass(frozen=True)
 class Sentence:
-    """An immutable tokenized sentence.
+    """An immutable tokenized sentence: its token surfaces in order.
 
-    ``raw`` keeps the original untokenized string when one existed; it is
-    excluded from equality so sentences compare by token content alone.
+    Every surface is non-empty and free of whitespace, so joining with single
+    spaces and splitting again gives the same tokens back.
     """
 
-    tokens: tuple[Token, ...] = ()
-    raw: str = field(default="", compare=False)
+    surfaces: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        for i, tok in enumerate(self.tokens):
-            if tok.index != i:
-                raise ValueError(f"token {tok.surface!r} has index {tok.index}, expected {i}")
+        if tuple(" ".join(self.surfaces).split()) != self.surfaces:
+            raise ValueError(
+                "sentence surfaces must be a tuple of non-empty tokens with no "
+                f"whitespace: {self.surfaces!r}"
+            )
 
     def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
-
-    @classmethod
-    def from_surfaces(cls, surfaces: Iterable[str], raw: str = "") -> "Sentence":
-        return cls(tuple(Token(s, i) for i, s in enumerate(surfaces)), raw)
+        return len(self.surfaces)
 
 
 def tokenize(text: str) -> Sentence:
     """Split on runs of whitespace; empty input yields an empty sentence."""
-    return Sentence.from_surfaces(text.split(), raw=text)
+    return Sentence(tuple(text.split()))
 
 
 def detokenize(sentence: Sentence) -> str:
@@ -128,11 +89,11 @@ def detokenize(sentence: Sentence) -> str:
 
 
 class AnnotationProvider(Protocol):
-    """Strategy interface for attaching lemma/POS/char-class to tokens."""
+    """Strategy interface: token surfaces in, one ``AnnotatedToken`` per surface out."""
 
     name: str
 
-    def annotate(self, tokens: Sequence[Token]) -> tuple[AnnotatedToken, ...]:
+    def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
         ...
 
 
@@ -146,17 +107,17 @@ class NaiveProvider:
 
     name: str = "naive"
 
-    def annotate(self, tokens: Sequence[Token]) -> tuple[AnnotatedToken, ...]:
+    def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
         out = []
-        for tok in tokens:
-            cc = char_class(tok.surface)
+        for surface in surfaces:
+            cc = char_class(surface)
             if cc == "punctuation":
                 pos = "PUNCT"
             elif cc == "numeric":
                 pos = "NUM"
             else:
                 pos = "OTHER"
-            out.append(AnnotatedToken(tok, tok.surface.lower(), pos, cc))
+            out.append(AnnotatedToken(surface, surface.lower(), pos))
         return tuple(out)
 
 
@@ -202,16 +163,15 @@ class SidecarProvider:
         }
         return cls(mapping)
 
-    def annotate(self, tokens: Sequence[Token]) -> tuple[AnnotatedToken, ...]:
-        if not tokens:
+    def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
+        if not surfaces:
             return ()
-        key = tuple(t.surface for t in tokens)
+        key = tuple(surfaces)
         rows = self.annotations.get(key)
         if rows is None:
             raise DataError(f"no sidecar annotations for sentence: {' '.join(key)!r}")
         return tuple(
-            AnnotatedToken(tok, lemma, pos, char_class(tok.surface))
-            for tok, (lemma, pos) in zip(tokens, rows)
+            AnnotatedToken(surface, lemma, pos) for surface, (lemma, pos) in zip(key, rows)
         )
 
 
@@ -237,19 +197,23 @@ def annotate(
 ) -> tuple[AnnotatedToken, ...]:
     """Annotate every token of ``sentence`` with the given provider.
 
-    The provider may be an instance or a registered name. Output length and
-    token identity are checked so a misbehaving provider fails loudly.
+    The provider may be an instance or a registered name. Each annotation must
+    carry its token's surface, a non-empty lemma and a tag from ``POS_TAGS``,
+    so a misbehaving provider fails loudly.
     """
     if provider is None:
         provider = NaiveProvider()
     elif isinstance(provider, str):
         provider = make_provider(provider)
-    annotated = provider.annotate(sentence.tokens)
-    if len(annotated) != len(sentence.tokens) or any(
-        a.token != t for a, t in zip(annotated, sentence.tokens)
+    surfaces = sentence.surfaces
+    annotated = provider.annotate(surfaces)
+    if len(annotated) != len(surfaces) or any(
+        a.surface != s or not a.lemma or a.pos not in POS_TAGS
+        for a, s in zip(annotated, surfaces)
     ):
         raise ValueError(
-            f"provider {provider.name!r} did not annotate tokens one-to-one"
+            f"provider {provider.name!r} did not annotate tokens one-to-one "
+            "with a non-empty lemma and a known POS tag"
         )
     return annotated
 
@@ -258,7 +222,9 @@ def parse_pair_line(line: str, lineno: int = 0) -> tuple[str, str]:
     """Split one ``source<TAB>target`` line, rejecting anything else."""
     parts = line.rstrip("\r\n").split("\t")
     if len(parts) != 2:
-        raise DataError(f"line {lineno}: expected source<TAB>target, got {len(parts)} fields")
+        raise PairLineError(
+            f"line {lineno}: expected source<TAB>target, got {len(parts)} fields"
+        )
     return parts[0], parts[1]
 
 

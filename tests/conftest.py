@@ -121,8 +121,8 @@ def exhaustive_min_cost(
         if (
             i + 1 < n
             and j + 1 < m
-            and src[i].token.surface == tgt[j + 1].token.surface
-            and src[i + 1].token.surface == tgt[j].token.surface
+            and src[i].surface == tgt[j + 1].surface
+            and src[i + 1].surface == tgt[j].surface
         ):
             walk(i + 2, j + 2, acc + weights.transpose_cost)
 

@@ -32,7 +32,7 @@ from editspan.alignment import (
 )
 from editspan.codec import EditSpan, apply_edits
 from editspan.errors import ConfigError
-from editspan.text import AnnotatedToken, Token, annotate, tokenize
+from editspan.text import AnnotatedToken, annotate, tokenize
 
 
 def _annotated(text: str):
@@ -75,15 +75,15 @@ def test_sub_cost_cats_cat():
 
 
 def test_sub_cost_lemma_and_pos_from_annotations():
-    a = AnnotatedToken(Token("cats", 0), "cat", "NOUN", "alphabetic")
-    b = AnnotatedToken(Token("cat", 0), "cat", "NOUN", "alphabetic")
+    a = AnnotatedToken("cats", "cat", "NOUN")
+    b = AnnotatedToken("cat", "cat", "NOUN")
     assert sub_cost(a, b) == pytest.approx(2.0 - 0.5 - 0.4 - 0.6 * 0.75)
 
 
 def test_sub_cost_clamped_at_floor():
     weights = CostWeights(w_lemma=1.0, w_pos=0.8, w_char=0.5)
-    a = AnnotatedToken(Token("abcdefghij", 0), "same", "NOUN", "alphabetic")
-    b = AnnotatedToken(Token("abcdefghik", 0), "same", "NOUN", "alphabetic")
+    a = AnnotatedToken("abcdefghij", "same", "NOUN")
+    b = AnnotatedToken("abcdefghik", "same", "NOUN")
     assert sub_cost(a, b, weights) == weights.sub_floor
 
 

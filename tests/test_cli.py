@@ -86,6 +86,15 @@ def test_sidecar_without_annotations_is_a_usage_error(pairs_file, capsys):
     assert "annotations" in capsys.readouterr().err
 
 
+def test_flags_belong_to_their_commands(pairs_file, tmp_path, capsys):
+    sources = _write(tmp_path / "src.txt", "a b c\n")
+    spans = _write(tmp_path / "spans.txt", "None\n")
+    assert main(["extract", pairs_file, "--report", "text"]) == 1
+    assert main(["apply", sources, spans, "--seed", "1"]) == 1
+    assert main(["apply", sources, spans, "--provider", "naive"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_no_command_prints_help_and_fails(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().err.lower()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,11 @@ from editspan.codec import (
     EditSpan,
     NONE_SENTINEL,
     apply_edits,
-    canonicalize,
     parse,
     serialize,
     split_fragments,
 )
+from editspan.alignment import canonicalize
 from editspan.errors import DataError
 from editspan.text import Sentence, detokenize, tokenize
 
@@ -173,6 +174,62 @@ def test_parse_handles_huge_positions():
     assert report.ignored == 1
 
 
+def _conflicts(a: EditSpan, b: EditSpan) -> bool:
+    """Reference overlap rule: two spans may not start at one gap or overlap."""
+    if a.start == b.start:
+        return True
+    lo, hi = (a, b) if a.start < b.start else (b, a)
+    return lo.end > hi.start
+
+
+def _scan_parse(fragments, source_len):
+    """Oracle: keep each valid fragment that conflicts with no earlier kept one.
+
+    Checks every kept span for every fragment, so it is quadratic; the
+    positions in ``fragments`` are never negative or reversed.
+    """
+    accepted, ignored = [], 0
+    for start, end, replacement in fragments:
+        span = None
+        if end <= source_len and (start < end or replacement):
+            span = EditSpan(start, end, replacement)
+        if span is None or any(_conflicts(prior, span) for prior in accepted):
+            ignored += 1
+        else:
+            accepted.append(span)
+    return tuple(sorted(accepted, key=lambda s: (s.start, s.end))), ignored
+
+
+def test_parse_overlap_matches_scan_oracle():
+    rng = random.Random(11)
+    for _ in range(3000):
+        source_len = rng.randint(0, 10)
+        fragments = []
+        for _ in range(rng.randint(1, 12)):
+            if fragments and rng.random() < 0.2:
+                fragments.append(rng.choice(fragments))  # a repeated fragment
+                continue
+            start = rng.randint(0, source_len)
+            # many zero-width inserts, often at a gap another span shares
+            end = start if rng.random() < 0.4 else rng.randint(start, source_len + 1)
+            replacement = tuple(rng.choice("xyz") for _ in range(rng.randint(0, 2)))
+            fragments.append((start, end, replacement))
+        text = ", ".join(" ".join((str(s), str(e), *r)) for s, e, r in fragments)
+        report = parse(text, source_len)
+        assert (report.script.spans, report.ignored) == _scan_parse(fragments, source_len), text
+
+
+def test_parse_many_disjoint_fragments_is_fast():
+    count = 20_000
+    for order in (range(count), reversed(range(count))):
+        text = ", ".join(f"{2 * i} {2 * i + 1} w" for i in order)
+        began = time.perf_counter()
+        report = parse(text, 2 * count)
+        elapsed = time.perf_counter() - began
+        assert len(report.script.spans) == count and report.ignored == 0
+        assert elapsed < 2.0, f"{count} disjoint fragments took {elapsed:.2f} s"
+
+
 def test_edit_span_validation():
     with pytest.raises(ValueError):
         EditSpan(-1, 0, ("x",))
@@ -277,9 +334,9 @@ def test_parse_is_total_and_accounts_for_fragments(text, source_len):
 @settings(deadline=None, max_examples=150)
 def test_apply_descending_matches_ascending_with_offsets(script):
     rng = random.Random(script.source_len)
-    src = Sentence.from_surfaces(
+    src = Sentence(tuple(
         rng.choice(VOCAB) for _ in range(script.source_len)
-    )
+    ))
     produced = apply_edits(script, src).surfaces
 
     surfaces = list(src.surfaces)
@@ -303,9 +360,9 @@ def test_canonicalize_merges_split_script():
 @settings(deadline=None, max_examples=100)
 def test_canonicalize_is_idempotent(script):
     rng = random.Random(script.source_len + 1)
-    src = Sentence.from_surfaces(
+    src = Sentence(tuple(
         rng.choice(VOCAB) for _ in range(script.source_len)
-    )
+    ))
     once = canonicalize(script, src)
     twice = canonicalize(once, src)
     assert once == twice
@@ -322,5 +379,5 @@ def test_canonicalize_propagates_length_mismatch():
 def test_parsed_scripts_always_apply_cleanly(text, source_len):
     # whatever survives parsing is well-formed for the stated source length
     report = parse(text, source_len)
-    src = Sentence.from_surfaces(f"t{i}" for i in range(source_len))
+    src = Sentence(tuple(f"t{i}" for i in range(source_len)))
     apply_edits(report.script, src)

@@ -20,6 +20,7 @@ from editspan.dataset import (
     write_jsonl,
 )
 from editspan.errors import ConfigError, DataError
+from editspan.text import SidecarProvider
 
 
 def test_instruction_strings_are_fixed():
@@ -51,6 +52,17 @@ def test_build_task_records_skips_malformed_lines():
     assert len(records) == 1
     assert len(skipped) == 2
     assert "line 2" in skipped[0] and "line 3" in skipped[1]
+
+
+def test_build_task_records_missing_annotations_are_not_skipped(tmp_path):
+    # only malformed lines are skipped; a provider's data error stops the build
+    sidecar = tmp_path / "annotations.tsv"
+    sidecar.write_text("good\tgood\tADJ\n\npair\tpair\tNOUN\n", encoding="utf-8")
+    provider = SidecarProvider.from_file(sidecar)
+    records, skipped = build_task_records(["good\tpair", "no tab"], "gec", provider)
+    assert len(records) == 1 and len(skipped) == 1
+    with pytest.raises(DataError, match="no sidecar annotations"):
+        build_task_records(["good\tpair", "unknown\tpair"], "gec", provider)
 
 
 def test_build_task_records_normalizes_input_whitespace():

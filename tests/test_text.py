@@ -11,7 +11,6 @@ from editspan.text import (
     POS_TAGS,
     Sentence,
     SidecarProvider,
-    Token,
     annotate,
     char_class,
     detokenize,
@@ -26,7 +25,7 @@ from editspan.text import (
 def test_tokenize_splits_on_whitespace_runs():
     sent = tokenize("Since we  do\tnot to bring cash")
     assert sent.surfaces == ("Since", "we", "do", "not", "to", "bring", "cash")
-    assert [t.index for t in sent] == list(range(7))
+    assert len(sent) == 7
 
 
 def test_tokenize_empty_and_blank():
@@ -44,21 +43,13 @@ def test_detokenize_tokenize_roundtrip():
 
 
 def test_token_validation():
-    with pytest.raises(ValueError):
-        Token("", 0)
-    with pytest.raises(ValueError):
-        Token("a b", 0)
-    with pytest.raises(ValueError):
-        Token("ok", -1)
-
-
-def test_sentence_indices_must_be_contiguous():
-    with pytest.raises(ValueError):
-        Sentence((Token("a", 0), Token("b", 2)))
+    for surface in ("", "a b", "a\u00a0b", "\u3000"):
+        with pytest.raises(ValueError):
+            Sentence(("ok", surface))
 
 
 def test_sentence_equality_ignores_raw():
-    assert tokenize("a  b") == Sentence.from_surfaces(["a", "b"])
+    assert tokenize("a  b") == Sentence(("a", "b"))
 
 
 @pytest.mark.parametrize(
@@ -84,7 +75,7 @@ def test_naive_provider_fields():
     annotated = annotate(tokenize("Running , 42 x2"), NaiveProvider())
     assert [a.lemma for a in annotated] == ["running", ",", "42", "x2"]
     assert [a.pos for a in annotated] == ["OTHER", "PUNCT", "NUM", "OTHER"]
-    assert [a.char_class for a in annotated] == [
+    assert [char_class(a.surface) for a in annotated] == [
         "alphabetic", "punctuation", "numeric", "mixed",
     ]
 
@@ -93,17 +84,32 @@ def test_annotate_preserves_tokens():
     sent = tokenize("a b c")
     annotated = annotate(sent, "naive")
     assert len(annotated) == 3
-    assert all(a.token == t for a, t in zip(annotated, sent.tokens))
+    assert tuple(a.surface for a in annotated) == sent.surfaces
+
+
+class _FixedProvider:
+    """Returns the same annotations whatever it is asked to annotate."""
+
+    name = "fixed"
+
+    def __init__(self, *annotated):
+        self.annotated = annotated
+
+    def annotate(self, surfaces):
+        return self.annotated
 
 
 def test_annotated_token_validation():
-    tok = Token("cat", 0)
-    with pytest.raises(ValueError):
-        AnnotatedToken(tok, "", "OTHER", "alphabetic")
-    with pytest.raises(ValueError):
-        AnnotatedToken(tok, "cat", "VERBISH", "alphabetic")
-    with pytest.raises(ValueError):
-        AnnotatedToken(tok, "cat", "OTHER", "wordlike")
+    for annotated in (
+        (AnnotatedToken("cat", "", "OTHER"),),
+        (AnnotatedToken("cat", "cat", "VERBISH"),),
+        (AnnotatedToken("dog", "dog", "NOUN"),),
+        (),
+        (AnnotatedToken("cat", "cat", "NOUN"),) * 2,
+    ):
+        with pytest.raises(ValueError):
+            annotate(tokenize("cat"), _FixedProvider(*annotated))
+    assert annotate(tokenize("cat"), _FixedProvider(AnnotatedToken("cat", "cat", "NOUN")))
 
 
 def test_normalize_pos_aliases_and_unknowns():
@@ -128,7 +134,7 @@ def test_sidecar_annotations_attach_in_order(tmp_path):
     assert [(a.lemma, a.pos) for a in annotated] == [
         ("the", "DET"), ("cat", "NOUN"), ("run", "VERB"),
     ]
-    assert [a.char_class for a in annotated] == ["alphabetic"] * 3
+    assert [a.surface for a in annotated] == ["The", "cats", "ran"]
     # INTJ is outside the closed tagset and collapses to OTHER
     annotated = annotate(tokenize("Hello"), provider)
     assert annotated[0].pos == "OTHER"
