@@ -121,20 +121,36 @@ class Alignment:
 
 @lru_cache(maxsize=1 << 16)
 def _char_distance_cached(a: str, b: str) -> int:
-    # two-row Levenshtein over characters
+    # Bit-parallel Levenshtein (Myers 1999, in Hyyrö's global-distance form):
+    # bit i of pv/mv says the column delta D[i+1][j] - D[i][j] is +1/-1, and
+    # one step of big-int operations advances the whole column by one
+    # character of b. Python ints are unbounded and ~x is negative, so every
+    # vector is masked to len(a) bits; without that they grow by one bit a step.
     if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i]
-        for j, cb in enumerate(b, 1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            ))
-        previous = current
-    return previous[-1]
+        a, b = b, a  # scan the shorter string: one loop step per character
+    if not b:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << len(a)) - 1
+    top = 1 << (len(a) - 1)
+    pv, mv, dist = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask & ~(xh | pv))
+        mh = pv & xh
+        if ph & top:
+            dist += 1
+        elif mh & top:
+            dist -= 1
+        ph = (ph << 1 | 1) & mask
+        mh = (mh << 1) & mask
+        pv = mh | (mask & ~(xv | ph))
+        mv = ph & xv
+    return dist
 
 
 def char_levenshtein(a: str, b: str) -> int:
@@ -151,7 +167,7 @@ def _surface_similarity(a: str, b: str) -> float:
 
 
 def _discounted_sub(sa: str, sb: str, lemma_eq: bool, pos_eq: bool, w: CostWeights) -> float:
-    cost = w.base_sub
+    base = cost = w.base_sub
     if lemma_eq:
         cost -= w.w_lemma
     if pos_eq:
@@ -160,8 +176,8 @@ def _discounted_sub(sa: str, sb: str, lemma_eq: bool, pos_eq: bool, w: CostWeigh
         cost -= w.w_char * _surface_similarity(sa, sb)
     if cost < w.sub_floor:
         return w.sub_floor
-    if cost > w.base_sub:
-        return w.base_sub
+    if cost > base:
+        return base
     return cost
 
 
@@ -189,53 +205,76 @@ def align(
 ) -> Alignment:
     """Minimum-cost alignment of two annotated token sequences.
 
-    O(len(src) * len(tgt)) dynamic program. Transposition applies only to
+    O(len(src) * len(tgt)) dynamic program over the tokens before the
+    common suffix, which aligns as MATCH ops. Transposition applies only to
     adjacent pairs whose surfaces match crosswise. Cost ties are broken by
     preferring MATCH, then SUB, TRANS, DEL, INS, which makes the result a
     deterministic function of the inputs and weights.
     """
     w = weights or DEFAULT_WEIGHTS
-    n, m = len(src), len(tgt)
     s_surf = [a.surface for a in src]
-    s_lem = [a.lemma for a in src]
-    s_pos = [a.pos for a in src]
     t_surf = [a.surface for a in tgt]
-    t_lem = [a.lemma for a in tgt]
-    t_pos = [a.pos for a in tgt]
+    # The common surface suffix always aligns as MATCH ops (README, "Aligner"),
+    # so the table covers only what precedes it. A prefix trim is not exact.
+    n, m = len(src), len(tgt)
+    while n and m and s_surf[n - 1] == t_surf[m - 1]:
+        n -= 1
+        m -= 1
+    suffix = len(src) - n
     ins_c, del_c, trans_c = w.insert_cost, w.delete_cost, w.transpose_cost
 
-    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
-    back = [[_B_NONE] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        cost[i][0] = cost[i - 1][0] + del_c
-        back[i][0] = _B_DEL
-    for j in range(1, m + 1):
-        cost[0][j] = cost[0][j - 1] + ins_c
-        back[0][j] = _B_INS
-    for i in range(1, n + 1):
-        row, prev, brow = cost[i], cost[i - 1], back[i]
-        sa, la, pa = s_surf[i - 1], s_lem[i - 1], s_pos[i - 1]
-        for j in range(1, m + 1):
-            tb = t_surf[j - 1]
+    # substitution cost of each distinct (source token, target token) pair,
+    # laid out per distinct source token as a row over target positions
+    t_ids: dict[AnnotatedToken, int] = {}
+    t_col = [t_ids.setdefault(b, len(t_ids)) for b in tgt[:m]]
+    sub_rows: dict[AnnotatedToken, list[float]] = {}
+
+    prev = [0.0]
+    for _ in range(m):
+        prev.append(prev[-1] + ins_c)
+    back = [[_B_NONE] + [_B_INS] * m]
+    prev2: list[float] = []
+    sp: Optional[str] = None  # the previous source surface
+    for i in range(n):
+        a = src[i]
+        sa = a.surface
+        subs = sub_rows.get(a)
+        if subs is None:
+            la, pa = a.lemma, a.pos
+            by_token = [
+                0.0 if sa == b.surface
+                else _discounted_sub(sa, b.surface, la == b.lemma, pa == b.pos, w)
+                for b in t_ids
+            ]
+            subs = sub_rows[a] = [by_token[k] for k in t_col]
+        left = prev[0] + del_c
+        row = [left]
+        brow = [_B_DEL]
+        tp: Optional[str] = None  # the previous target surface
+        for j in range(m):
+            tb = t_surf[j]
             if sa == tb:
-                best, bop = prev[j - 1], _B_MATCH
+                # a transposition here would swap equal tokens: dearer than two matches
+                best, bop = prev[j], _B_MATCH
             else:
-                best = prev[j - 1] + _discounted_sub(
-                    sa, tb, la == t_lem[j - 1], pa == t_pos[j - 1], w
-                )
-                bop = _B_SUB
-            if i > 1 and j > 1 and sa == t_surf[j - 2] and s_surf[i - 2] == tb:
-                c = cost[i - 2][j - 2] + trans_c
-                if c < best:
-                    best, bop = c, _B_TRANS
-            c = prev[j] + del_c
+                best, bop = prev[j] + subs[j], _B_SUB
+                if sa == tp and sp == tb:
+                    c = prev2[j - 1] + trans_c
+                    if c < best:
+                        best, bop = c, _B_TRANS
+            c = prev[j + 1] + del_c
             if c < best:
                 best, bop = c, _B_DEL
-            c = row[j - 1] + ins_c
+            c = left + ins_c
             if c < best:
                 best, bop = c, _B_INS
-            row[j] = best
-            brow[j] = bop
+            row.append(best)
+            brow.append(bop)
+            left = best
+            tp = tb
+        back.append(brow)
+        prev2, prev = prev, row
+        sp = sa
 
     trail: list[int] = []
     i, j = n, m
@@ -253,6 +292,7 @@ def align(
             i -= 2
             j -= 2
     trail.reverse()
+    trail.extend([_B_MATCH] * suffix)
 
     ops: list[AlignOp] = []
     si = ti = 0
@@ -275,7 +315,7 @@ def align(
             ops.append(AlignOp(OpKind.TRANS, si, si + 2, ti, ti + 2))
             si += 2
             ti += 2
-    return Alignment(tuple(ops), cost[n][m])
+    return Alignment(tuple(ops), prev[m])
 
 
 def merge_ops(alignment: Alignment) -> tuple[AlignOp, ...]:
@@ -323,16 +363,24 @@ def extract_spans(
     merged non-MATCH op to a span over source gap positions. Applying the
     result to ``src`` reproduces ``tgt`` exactly.
     """
-    src_annot = annotate(src, provider)
-    tgt_annot = annotate(tgt, provider)
-    alignment = align(src_annot, tgt_annot, weights)
+    return _extract_annotated(annotate(src, provider), tgt, provider, weights)
+
+
+def _extract_annotated(
+    src_annot: Sequence[AnnotatedToken],
+    tgt: Sentence,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+) -> EditScript:
+    """``extract_spans`` for a source that is already annotated."""
+    alignment = align(src_annot, annotate(tgt, provider), weights)
     tgt_surfaces = tgt.surfaces
     spans = [
         EditSpan(op.src_start, op.src_end, tgt_surfaces[op.tgt_start:op.tgt_end])
         for op in merge_ops(alignment)
         if op.kind is not OpKind.MATCH
     ]
-    return EditScript(tuple(spans), len(src))
+    return EditScript(tuple(spans), len(src_annot))
 
 
 def canonicalize(

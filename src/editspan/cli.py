@@ -9,14 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
+import os
 import sys
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from editspan.alignment import CostWeights, extract_line, read_kv_config
 from editspan.codec import apply_edits, parse, serialize
 from editspan.dataset import (
     MixSpec,
     TASK_INSTRUCTIONS,
+    atomic_output,
     build_task_records,
     mix_and_sample,
     read_open_ended_jsonl,
@@ -39,10 +42,22 @@ def _setup_worker(provider, weights) -> None:
     _PROVIDER, _WEIGHTS = provider, weights
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int) -> int:
+    """``--jobs`` clamped to the CPUs this process may run on."""
+    return min(jobs, _usable_cpus())
+
+
 def _map_lines(
     fn: Callable[[T], R], items: Iterable[T], jobs: int, provider, weights
 ) -> Iterator[R]:
     """Map a pure function over items, preserving order, optionally in parallel."""
+    jobs = _worker_count(jobs)
     if jobs > 1:
         with multiprocessing.Pool(
             jobs, initializer=_setup_worker, initargs=(provider, weights)
@@ -91,10 +106,14 @@ def _iter_lines(path: str) -> Iterator[str]:
             yield line.rstrip("\r\n")
 
 
-def _open_output(path: Optional[str]):
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """Standard output, or ``path`` written all or nothing."""
     if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
+        yield sys.stdout
+    else:
+        with atomic_output(path) as handle:
+            yield handle
 
 
 def _load_provider(args: argparse.Namespace):
@@ -109,14 +128,10 @@ def _load_weights(args: argparse.Namespace) -> CostWeights:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     provider, weights = _load_provider(args), _load_weights(args)
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         numbered = enumerate(_iter_lines(args.pairs), 1)
         for span_line in _map_lines(_extract_one, numbered, args.jobs, provider, weights):
             print(span_line, file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -138,14 +153,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
         )
     ]
     ignored_total = 0
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         for text, ignored in _map_lines(_apply_one, rows, args.jobs, None, None):
             ignored_total += ignored
             print(text, file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     if ignored_total:
         print(
             f"ignored {ignored_total} malformed fragment(s) across {len(rows)} line(s)",
@@ -231,13 +242,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _job_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="editspan",
         description="Extract, apply, and score edit spans; build instruction datasets.",
     )
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    jobs.add_argument(
+        "--jobs", type=_job_count, default=1,
+        help="worker processes, at most the usable CPUs (default: 1)",
+    )
     # alignment settings, for the commands that extract spans
     common = argparse.ArgumentParser(add_help=False, parents=[jobs])
     common.add_argument("--weights", metavar="FILE", help="cost weights as key = value lines")

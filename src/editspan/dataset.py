@@ -9,10 +9,13 @@ seed always produces byte-identical output.
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 from editspan.alignment import CostWeights, extract_line
 from editspan.codec import apply_edits, parse, serialize
@@ -172,10 +175,41 @@ def validate_dataset(
     return ValidationReport(len(records), checked, tuple(failures))
 
 
+@contextmanager
+def atomic_output(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Open ``path`` for writing UTF-8 text with LF newlines, all or nothing.
+
+    The text goes to a new file beside the target, which replaces the target
+    only when the block exits normally. On an exception the new file is
+    removed and whatever was at ``path`` before is left as it was. A path
+    that exists but is not a regular file (a FIFO, ``/dev/stdout``) is
+    written in place, since it cannot be replaced.
+    """
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        with target.open("w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        return
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    handle = tmp.open("x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            if target.exists():
+                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(records: Iterable[DatasetRecord], path: Union[str, Path]) -> int:
-    """Write records as JSON Lines; returns the number written."""
+    """Write records as JSON Lines; returns the number written.
+
+    The file at ``path`` is replaced only once every record is written.
+    """
     count = 0
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
+    with atomic_output(path) as handle:
         for record in records:
             handle.write(record.to_json())
             handle.write("\n")

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from editspan.alignment import CostWeights, canonicalize, extract_spans
-from editspan.codec import EditScript, parse
+from editspan.alignment import CostWeights, _extract_annotated, canonicalize
+from editspan.codec import EditScript, apply_edits, parse
 from editspan.errors import DataError
-from editspan.text import Sentence, detokenize
+from editspan.text import Sentence, annotate, detokenize
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,23 @@ def pair_stats(
     provider=None,
     weights: Optional[CostWeights] = None,
 ) -> PairStats:
-    """Score one (source, hypothesis span text, gold target) triple."""
+    """Score one (source, hypothesis span text, gold target) triple.
+
+    The source is annotated once for both extractions, and a hypothesis that
+    rewrites the source into the gold target reuses the gold script as its
+    canonical form instead of aligning the same pair again.
+    """
     report = parse(hyp_text, len(src))
-    gold_script = extract_spans(src, gold, provider, weights)
+    src_annot = annotate(src, provider)
+    gold_script = _extract_annotated(src_annot, gold, provider, weights)
     score = edit_f05(report.script, gold_script)
+    produced = apply_edits(report.script, src)
+    if produced.surfaces == gold.surfaces:
+        canonical = gold_script
+    else:
+        canonical = _extract_annotated(src_annot, produced, provider, weights)
     return PairStats(
-        agree=agreement(report.script, src, provider, weights),
+        agree=report.script.spans == canonical.spans,
         ratio=compression(hyp_text, gold).ratio,
         tp=score.tp,
         fp=score.fp,

@@ -26,10 +26,13 @@ _POS_ALIASES = {"PROPN": "NOUN", "AUX": "VERB", "CCONJ": "CONJ", "SCONJ": "CONJ"
 
 
 def char_class(surface: str) -> str:
-    """Classify a surface as alphabetic, numeric, punctuation, or mixed."""
-    if all(c.isalpha() for c in surface):
+    """Classify a surface as alphabetic, numeric, punctuation, or mixed.
+
+    A class holds when every character has it; the empty surface is alphabetic.
+    """
+    if not surface or surface.isalpha():
         return "alphabetic"
-    if all(c.isdigit() for c in surface):
+    if surface.isdigit():
         return "numeric"
     if all(unicodedata.category(c).startswith("P") for c in surface):
         return "punctuation"

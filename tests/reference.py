@@ -1,0 +1,175 @@
+"""Reference implementations the library's fast paths are checked against.
+
+Each function here is the plain, obviously-correct version of something
+``src/editspan`` now does faster: the full alignment dynamic program with no
+trimming or cost table, the two-row character Levenshtein, the per-character
+``char_class``, and ``pair_stats`` that annotates every sentence and aligns
+twice. Tests require the library to give identical results.
+"""
+
+from __future__ import annotations
+
+import unicodedata
+from typing import Optional, Sequence
+
+from editspan.alignment import (
+    AlignOp,
+    Alignment,
+    CostWeights,
+    DEFAULT_WEIGHTS,
+    OpKind,
+    _discounted_sub,
+    canonicalize,
+    extract_spans,
+)
+from editspan.codec import parse
+from editspan.metrics import PairStats, compression, edit_f05
+from editspan.text import AnnotatedToken, Sentence
+
+
+def reference_char_distance(a: str, b: str) -> int:
+    """Two-row Levenshtein over characters."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        current = [i]
+        for j, cb in enumerate(b, 1):
+            current.append(min(
+                previous[j] + 1,
+                current[j - 1] + 1,
+                previous[j - 1] + (ca != cb),
+            ))
+        previous = current
+    return previous[-1]
+
+
+def reference_char_class(surface: str) -> str:
+    """``char_class`` by a walk over every character."""
+    if all(c.isalpha() for c in surface):
+        return "alphabetic"
+    if all(c.isdigit() for c in surface):
+        return "numeric"
+    if all(unicodedata.category(c).startswith("P") for c in surface):
+        return "punctuation"
+    return "mixed"
+
+
+# backpointer codes, listed in tie-break preference order
+_B_NONE, _B_MATCH, _B_SUB, _B_TRANS, _B_DEL, _B_INS = range(6)
+
+
+def reference_align(
+    src: Sequence[AnnotatedToken],
+    tgt: Sequence[AnnotatedToken],
+    weights: Optional[CostWeights] = None,
+) -> Alignment:
+    """The full O(len(src) * len(tgt)) alignment DP over every cell.
+
+    Substitution costs come from ``_discounted_sub`` cell by cell; ties go to
+    MATCH, then SUB, TRANS, DEL, INS.
+    """
+    w = weights or DEFAULT_WEIGHTS
+    n, m = len(src), len(tgt)
+    s_surf = [a.surface for a in src]
+    s_lem = [a.lemma for a in src]
+    s_pos = [a.pos for a in src]
+    t_surf = [a.surface for a in tgt]
+    t_lem = [a.lemma for a in tgt]
+    t_pos = [a.pos for a in tgt]
+    ins_c, del_c, trans_c = w.insert_cost, w.delete_cost, w.transpose_cost
+
+    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
+    back = [[_B_NONE] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        cost[i][0] = cost[i - 1][0] + del_c
+        back[i][0] = _B_DEL
+    for j in range(1, m + 1):
+        cost[0][j] = cost[0][j - 1] + ins_c
+        back[0][j] = _B_INS
+    for i in range(1, n + 1):
+        row, prev, brow = cost[i], cost[i - 1], back[i]
+        sa, la, pa = s_surf[i - 1], s_lem[i - 1], s_pos[i - 1]
+        for j in range(1, m + 1):
+            tb = t_surf[j - 1]
+            if sa == tb:
+                best, bop = prev[j - 1], _B_MATCH
+            else:
+                best = prev[j - 1] + _discounted_sub(
+                    sa, tb, la == t_lem[j - 1], pa == t_pos[j - 1], w
+                )
+                bop = _B_SUB
+            if i > 1 and j > 1 and sa == t_surf[j - 2] and s_surf[i - 2] == tb:
+                c = cost[i - 2][j - 2] + trans_c
+                if c < best:
+                    best, bop = c, _B_TRANS
+            c = prev[j] + del_c
+            if c < best:
+                best, bop = c, _B_DEL
+            c = row[j - 1] + ins_c
+            if c < best:
+                best, bop = c, _B_INS
+            row[j] = best
+            brow[j] = bop
+
+    trail: list[int] = []
+    i, j = n, m
+    while i or j:
+        bop = back[i][j]
+        trail.append(bop)
+        if bop == _B_MATCH or bop == _B_SUB:
+            i -= 1
+            j -= 1
+        elif bop == _B_DEL:
+            i -= 1
+        elif bop == _B_INS:
+            j -= 1
+        else:
+            i -= 2
+            j -= 2
+    trail.reverse()
+
+    ops: list[AlignOp] = []
+    si = ti = 0
+    for bop in trail:
+        if bop == _B_MATCH:
+            ops.append(AlignOp(OpKind.MATCH, si, si + 1, ti, ti + 1))
+            si += 1
+            ti += 1
+        elif bop == _B_SUB:
+            ops.append(AlignOp(OpKind.SUB, si, si + 1, ti, ti + 1))
+            si += 1
+            ti += 1
+        elif bop == _B_DEL:
+            ops.append(AlignOp(OpKind.DEL, si, si + 1, ti, ti))
+            si += 1
+        elif bop == _B_INS:
+            ops.append(AlignOp(OpKind.INS, si, si, ti, ti + 1))
+            ti += 1
+        else:
+            ops.append(AlignOp(OpKind.TRANS, si, si + 2, ti, ti + 2))
+            si += 2
+            ti += 2
+    return Alignment(tuple(ops), cost[n][m])
+
+
+def reference_pair_stats(
+    src: Sentence,
+    hyp_text: str,
+    gold: Sentence,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+) -> PairStats:
+    """``pair_stats`` with two full extractions, annotating every sentence each time."""
+    report = parse(hyp_text, len(src))
+    gold_script = extract_spans(src, gold, provider, weights)
+    score = edit_f05(report.script, gold_script)
+    canonical = canonicalize(report.script, src, provider, weights)
+    return PairStats(
+        agree=report.script.spans == canonical.spans,
+        ratio=compression(hyp_text, gold).ratio,
+        tp=score.tp,
+        fp=score.fp,
+        fn=score.fn,
+        ignored=report.ignored,
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from editspan.alignment import (
     AlignOp,
     CostWeights,
     OpKind,
+    _char_distance_cached,
     align,
     char_levenshtein,
     extract_spans,
@@ -32,7 +34,8 @@ from editspan.alignment import (
 )
 from editspan.codec import EditSpan, apply_edits
 from editspan.errors import ConfigError
-from editspan.text import AnnotatedToken, annotate, tokenize
+from editspan.text import AnnotatedToken, NaiveProvider, annotate, tokenize
+from reference import reference_align, reference_char_distance
 
 
 def _annotated(text: str):
@@ -45,6 +48,30 @@ def test_char_levenshtein_frozen_values():
     assert char_levenshtein("invasion", "invading") == 3
     assert char_levenshtein("ab", "ba") == 2
     assert char_levenshtein("same", "same") == 0
+
+
+def test_char_distance_matches_two_row_reference():
+    rng = random.Random(11)
+    alphabets = ("ab", "abcdefgh", "aé…\U0001F600\U00010348x", string.printable)
+    cases = [
+        ("", ""), ("", "abc"), ("abc", ""), ("a" * 64, "a" * 65), ("a" * 65, "b" * 65),
+        ("ab" * 40, "ba" * 40), ("\U0001F600" * 70, "\U0001F600" * 69 + "x"),
+    ]
+    for _ in range(3000):
+        alphabet = rng.choice(alphabets)
+        cases.append(tuple(
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 16))) for _ in "ab"
+        ))
+    for _ in range(150):
+        alphabet = rng.choice(alphabets)
+        cases.append(tuple(
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 200))) for _ in "ab"
+        ))
+    distance = _char_distance_cached.__wrapped__
+    for a, b in cases:
+        expected = reference_char_distance(a, b)
+        assert distance(a, b) == expected, (a, b)
+        assert char_levenshtein(a, b) == char_levenshtein(b, a) == expected, (a, b)
 
 
 def test_sub_cost_identical_surfaces_is_zero():
@@ -214,6 +241,81 @@ def test_align_matches_exhaustive_search_custom_weights():
         src_annot, tgt_annot = _annotated(src), _annotated(tgt)
         expected = exhaustive_min_cost(src_annot, tgt_annot, weights)
         assert align(src_annot, tgt_annot, weights).total_cost == expected
+
+
+CUSTOM_WEIGHTS = CostWeights(
+    w_lemma=0.3, w_pos=0.7, w_char=0.2,
+    insert_cost=0.8, delete_cost=1.3, transpose_cost=1.6, sub_floor=0.05,
+)
+
+
+def _edited(rng: random.Random, tokens: list, vocab: tuple, edits: int) -> list:
+    """``tokens`` after random adjacent swaps, deletions, replacements and insertions."""
+    out = list(tokens)
+    for _ in range(edits):
+        kind = rng.random()
+        if kind < 0.3 and len(out) > 1:
+            i = rng.randrange(len(out) - 1)
+            out[i], out[i + 1] = out[i + 1], out[i]
+        elif kind < 0.5 and out:
+            del out[rng.randrange(len(out))]
+        elif kind < 0.75 and out:
+            out[rng.randrange(len(out))] = rng.choice(vocab)
+        else:
+            out.insert(rng.randint(0, len(out)), rng.choice(vocab))
+    return out
+
+
+def _differential_pairs(seed, count, vocab, max_len, max_edits, varied):
+    """Annotated (source, target) pairs: targets edited from their sources,
+    and one pair in ten unrelated. With ``varied``, a surface's annotation is
+    drawn per occurrence, so equal surfaces need not be equal tokens."""
+    rng = random.Random(seed)
+    naive = {word: NaiveProvider().annotate([word])[0] for word in vocab}
+    variants = {word: (naive[word], AnnotatedToken(word, "x", "NOUN")) for word in vocab}
+
+    def annotated(words):
+        if varied:
+            return tuple(rng.choice(variants[word]) for word in words)
+        return tuple(naive[word] for word in words)
+
+    for _ in range(count):
+        src = [rng.choice(vocab) for _ in range(rng.randint(0, max_len))]
+        if rng.random() < 0.1:
+            tgt = [rng.choice(vocab) for _ in range(rng.randint(0, max_len))]
+        else:
+            tgt = _edited(rng, src, vocab, rng.randint(0, max_edits))
+        yield annotated(src), annotated(tgt)
+
+
+@pytest.mark.parametrize(
+    ("seed", "count", "vocab", "max_len", "max_edits", "varied", "weights"),
+    [
+        (1, 35_000, ("a", "b"), 12, 4, False, None),
+        (2, 35_000, ("a", "b", "c", "d", "e"), 12, 4, False, None),
+        (3, 20_000, ("cat", "cats", "act", "Cat", "."), 12, 4, True, None),
+        (4, 10_000, VOCAB, 12, 4, False, CUSTOM_WEIGHTS),
+        (5, 3_000, VOCAB + tuple(f"w{i}" for i in range(40)), 40, 8, True, None),
+    ],
+    ids=["two-words", "five-words", "varied-annotations", "custom-weights", "up-to-40"],
+)
+def test_align_matches_reference_dp(seed, count, vocab, max_len, max_edits, varied, weights):
+    mismatches = [
+        (src, tgt)
+        for src, tgt in _differential_pairs(seed, count, vocab, max_len, max_edits, varied)
+        if align(src, tgt, weights) != reference_align(src, tgt, weights)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("length", [200, 450, 800])
+def test_align_matches_reference_dp_on_long_pairs(length):
+    rng = random.Random(length)
+    vocab = VOCAB + tuple(f"w{i}" for i in range(30))
+    words = [rng.choice(vocab) for _ in range(length)]
+    src = annotate(tokenize(" ".join(words)))
+    tgt = annotate(tokenize(" ".join(_edited(rng, words, vocab, length // 20))))
+    assert align(src, tgt) == reference_align(src, tgt)
 
 
 def test_merge_coalesces_sub_plus_ins():

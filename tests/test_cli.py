@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -17,8 +18,10 @@ from conftest import (
     SCHOLARS_TGT,
     random_pairs,
 )
+from editspan import cli
 from editspan.cli import main
 from editspan.dataset import TASK_INSTRUCTIONS, read_dataset_jsonl
+from editspan.errors import DataError
 
 
 def _write(path, text):
@@ -72,6 +75,22 @@ def test_extract_malformed_line_is_a_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_extract_data_error_leaves_no_output_file(tmp_path, capsys):
+    path = _write(tmp_path / "pairs.tsv", "a\tb\nmissing tab\n")
+    out_path = tmp_path / "spans.txt"
+    assert main(["extract", path, "-o", str(out_path)]) == 2
+    assert not out_path.exists()
+    out_path.write_text("earlier run\n", encoding="utf-8")
+    assert main(["extract", path, "-o", str(out_path), "--jobs", "2"]) == 2
+    assert out_path.read_text(encoding="utf-8") == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv", "spans.txt"]
+
+
+def test_output_that_cannot_be_replaced_is_written_in_place(pairs_file, capsys):
+    assert main(["extract", pairs_file, "-o", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull)
+
+
 def test_missing_input_file_is_a_usage_error(capsys):
     assert main(["extract", "/nonexistent/pairs.tsv"]) == 1
     assert "error" in capsys.readouterr().err
@@ -93,6 +112,20 @@ def test_flags_belong_to_their_commands(pairs_file, tmp_path, capsys):
     assert main(["apply", sources, spans, "--seed", "1"]) == 1
     assert main(["apply", sources, spans, "--provider", "naive"]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(pairs_file, value, capsys):
+    assert main(["extract", pairs_file, "--jobs", value]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("jobs", "cpus", "expected"), [(64, 2, 2), (2, 2, 2), (1, 8, 1), (3, 8, 3), (5, 1, 1)]
+)
+def test_jobs_are_clamped_to_usable_cpus(monkeypatch, jobs, cpus, expected):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    assert cli._worker_count(jobs) == expected
 
 
 def test_no_command_prints_help_and_fails(capsys):
@@ -130,6 +163,27 @@ def test_apply_line_count_mismatch_is_a_data_error(tmp_path, capsys):
     spans = _write(tmp_path / "spans.txt", "None\n")
     assert main(["apply", sources, spans]) == 2
     assert "line counts differ" in capsys.readouterr().err
+
+
+def test_apply_data_error_leaves_earlier_output_untouched(tmp_path, monkeypatch, capsys):
+    sources = _write(tmp_path / "src.txt", "a b c\nd e f\ng h\n")
+    spans = _write(tmp_path / "spans.txt", "None\nNone\nNone\n")
+    out_path = tmp_path / "out.txt"
+    out_path.write_text("earlier run\n", encoding="utf-8")
+    apply_one = cli._apply_one
+
+    def fail_on_line_two(numbered):
+        if numbered[0] == 2:
+            raise DataError("line 2: unreadable")
+        return apply_one(numbered)
+
+    monkeypatch.setattr(cli, "_apply_one", fail_on_line_two)
+    assert main(["apply", sources, spans, "-o", str(out_path)]) == 2
+    assert out_path.read_text(encoding="utf-8") == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "spans.txt", "src.txt"]
+    monkeypatch.setattr(cli, "_apply_one", apply_one)
+    assert main(["apply", sources, spans, "-o", str(out_path)]) == 0
+    assert out_path.read_text(encoding="utf-8") == "a b c\nd e f\ng h\n"
 
 
 def test_score_reports_hand_computed_values(tmp_path, capsys):

@@ -197,6 +197,24 @@ def test_write_jsonl_key_order_and_readback(tmp_path):
     assert read_dataset_jsonl(path) == records
 
 
+def test_write_jsonl_failure_leaves_earlier_file_untouched(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text("earlier run\n", encoding="utf-8")
+    path.chmod(0o640)
+
+    def records():
+        yield DatasetRecord("q", "", "a", OPEN_ENDED_TASK)
+        raise DataError("corpus went away")
+
+    with pytest.raises(DataError):
+        write_jsonl(records(), path)
+    assert path.read_text(encoding="utf-8") == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
+    assert write_jsonl([DatasetRecord("q", "", "a", OPEN_ENDED_TASK)], path) == 1
+    assert len(read_dataset_jsonl(path)) == 1
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
 def test_read_open_ended_jsonl(tmp_path):
     path = tmp_path / "open.jsonl"
     path.write_text(

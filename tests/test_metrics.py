@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
+
 import pytest
 
 from conftest import (
     CASH_SPANS,
+    CASH_SRC,
     CASH_TGT,
     PRIVACY_CANONICAL,
     PRIVACY_SPLIT,
     PRIVACY_SRC,
+    PRIVACY_TGT,
+    SCHOLARS_SRC,
+    SCHOLARS_TGT,
+    random_pairs,
 )
+from editspan.alignment import extract_spans
 from editspan.codec import EditScript, EditSpan, parse, serialize
 from editspan.errors import DataError
 from editspan.metrics import (
@@ -21,7 +30,8 @@ from editspan.metrics import (
     pair_stats,
     score_corpus,
 )
-from editspan.text import tokenize
+from editspan.text import NaiveProvider, tokenize
+from reference import reference_pair_stats
 
 
 def test_compression_single_insertion_reference_pair():
@@ -156,6 +166,72 @@ def test_pair_stats_and_score_corpus_hand_computed():
         "pairs", "agreement_rate", "mean_ratio",
         "precision", "recall", "f05", "ignored_fragments",
     ]
+
+
+def _noisy_hypotheses(rng: random.Random, src, gold, other) -> list[str]:
+    """Span lines a model might emit for ``src``: the gold spans, shifted,
+    split, malformed, out of range, empty, looped, and another pair's spans."""
+    gold_text = serialize(extract_spans(src, gold))
+    spans = parse(gold_text, len(src)).script.spans
+    shifted = [(s.start + 1, s.end + 1, s.replacement) for s in spans]
+    split = []
+    for s in spans:
+        if s.end - s.start > 1:
+            split += [(s.start, s.start + 1, s.replacement), (s.start + 1, s.end, ())]
+        else:
+            split.append((s.start, s.end, s.replacement))
+
+    def line(fragments):
+        return ", ".join(" ".join((str(a), str(b), *r)) for a, b, r in fragments) or "None"
+
+    n = len(src)
+    return [
+        gold_text,
+        line(shifted),
+        line(split),
+        "banana, " + gold_text,
+        f"{n + 3} {n + 5} x, " + gold_text,
+        "None",
+        ", ".join([gold_text] * rng.randint(2, 5)),
+        other,
+    ]
+
+
+def test_pair_stats_matches_reference():
+    pairs = [(SCHOLARS_SRC, SCHOLARS_TGT), (CASH_SRC, CASH_TGT), (PRIVACY_SRC, PRIVACY_TGT)]
+    pairs += random_pairs(seed=8, count=300, max_len=20)
+    rng = random.Random(8)
+    checked = 0
+    for src_text, tgt_text in pairs:
+        src, gold = tokenize(src_text), tokenize(tgt_text)
+        other_src, other_tgt = rng.choice(pairs)
+        other = serialize(extract_spans(tokenize(other_src), tokenize(other_tgt)))
+        for hyp in _noisy_hypotheses(rng, src, gold, other):
+            assert pair_stats(src, hyp, gold) == reference_pair_stats(src, hyp, gold), hyp
+            checked += 1
+    assert checked == 8 * len(pairs)
+
+
+@dataclass
+class _CountingProvider:
+    name: str = "counting"
+    calls: int = 0
+
+    def annotate(self, surfaces):
+        self.calls += 1
+        return NaiveProvider().annotate(surfaces)
+
+
+def test_pair_stats_annotates_the_source_once_and_reuses_the_gold_script():
+    src, gold = tokenize(SCHOLARS_SRC), tokenize(SCHOLARS_TGT)
+    provider = _CountingProvider()
+    stats = pair_stats(src, serialize(extract_spans(src, gold)), gold, provider)
+    assert (stats.agree, stats.fp, stats.fn) == (True, 0, 0)
+    assert provider.calls == 2  # source and gold target
+    provider.calls = 0
+    stats = pair_stats(src, "0 1", gold, provider)
+    assert stats.agree is True
+    assert provider.calls == 3  # source, gold target, and the hypothesis's result
 
 
 def test_score_corpus_counts_ignored_fragments():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 from editspan.errors import ConfigError, DataError
@@ -20,6 +23,7 @@ from editspan.text import (
     read_parallel_tsv,
     tokenize,
 )
+from reference import reference_char_class
 
 
 def test_tokenize_splits_on_whitespace_runs():
@@ -69,6 +73,22 @@ def test_sentence_equality_ignores_raw():
 )
 def test_char_class(surface, expected):
     assert char_class(surface) == expected
+
+
+def test_char_class_matches_per_character_reference():
+    code_points = [*range(0x10000), *range(0x10000, sys.maxunicode + 1, 16)]
+    assert [char_class(chr(cp)) for cp in code_points] == [
+        reference_char_class(chr(cp)) for cp in code_points
+    ]
+    assert char_class("") == reference_char_class("") == "alphabetic"
+    # letters, marks, decimal and other digits, numeric letters, punctuation,
+    # symbols, spaces and controls, from several scripts
+    pool = "aZéß漢ーँ́09٣²①Ⅷ½.,-…¿「$+©  \t\x00\U0001F600\U00010348\U0001D7D8"
+    rng = random.Random(3)
+    for _ in range(20_000):
+        chars = rng.sample(pool, rng.randint(1, 3))
+        surface = "".join(rng.choice(chars) for _ in range(rng.randint(1, 6)))
+        assert char_class(surface) == reference_char_class(surface), surface
 
 
 def test_naive_provider_fields():
