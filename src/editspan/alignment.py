@@ -17,7 +17,14 @@ from typing import Mapping, Optional, Sequence, Union
 
 from editspan.codec import EditScript, EditSpan, apply_edits
 from editspan.errors import ConfigError
-from editspan.text import AnnotatedToken, Sentence, annotate, parse_pair_line, tokenize
+from editspan.text import (
+    AnnotatedToken,
+    Sentence,
+    annotate,
+    open_text,
+    parse_pair_line,
+    tokenize,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,7 @@ class CostWeights:
 def read_kv_config(path: Union[str, Path]) -> dict[str, str]:
     """Read a flat UTF-8 config of ``key = value`` lines; ``#`` comments allowed."""
     out: dict[str, str] = {}
-    with Path(path).open(encoding="utf-8") as handle:
+    with open_text(path, ConfigError) as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -162,18 +169,17 @@ def char_levenshtein(a: str, b: str) -> int:
     return _char_distance_cached(a, b)
 
 
-def _surface_similarity(a: str, b: str) -> float:
-    return 1.0 - char_levenshtein(a, b) / max(len(a), len(b))
-
-
 def _discounted_sub(sa: str, sb: str, lemma_eq: bool, pos_eq: bool, w: CostWeights) -> float:
+    # callers pass distinct surfaces; the distance is symmetric, and the
+    # arguments are ordered as char_levenshtein orders them for cache reuse
     base = cost = w.base_sub
     if lemma_eq:
         cost -= w.w_lemma
     if pos_eq:
         cost -= w.w_pos
     if w.w_char:
-        cost -= w.w_char * _surface_similarity(sa, sb)
+        dist = _char_distance_cached(sb, sa) if sa > sb else _char_distance_cached(sa, sb)
+        cost -= w.w_char * (1.0 - dist / max(len(sa), len(sb)))
     if cost < w.sub_floor:
         return w.sub_floor
     if cost > base:

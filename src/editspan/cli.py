@@ -17,17 +17,19 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 from editspan.alignment import CostWeights, extract_line, read_kv_config
 from editspan.codec import apply_edits, parse, serialize
 from editspan.dataset import (
+    DatasetRecord,
     MixSpec,
     TASK_INSTRUCTIONS,
     atomic_output,
-    build_task_records,
-    mix_and_sample,
+    pair_record,
     read_open_ended_jsonl,
+    sample_picks,
+    scan_pair_lines,
     write_jsonl,
 )
 from editspan.errors import ConfigError, DataError
 from editspan.metrics import PairStats, pair_stats, reduce_stats
-from editspan.text import detokenize, make_provider, tokenize
+from editspan.text import detokenize, make_provider, open_text, tokenize
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -100,8 +102,13 @@ def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
     return None
 
 
+def _record_one(job: tuple[str, str, str]) -> DatasetRecord:
+    task, instruction, line = job
+    return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS)
+
+
 def _iter_lines(path: str) -> Iterator[str]:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for line in handle:
             yield line.rstrip("\r\n")
 
@@ -214,16 +221,23 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         "style": args.style,
         "simplify": args.simplify,
     }
-    task_sets = {}
+    # Check every line first, keeping only its text; sampling needs nothing
+    # but the counts, so only the sampled lines are ever aligned.
+    corpora: dict[str, list[str]] = {}
     for task, path in corpus_paths.items():
-        records, skipped = build_task_records(
-            _iter_lines(path), task, provider, weights, overrides.get(task)
-        )
+        corpora[task], skipped = scan_pair_lines(_iter_lines(path), provider)
         for note in skipped:
             print(f"{path}: skipped {note}", file=sys.stderr)
-        task_sets[task] = records
     open_ended = read_open_ended_jsonl(args.open_ended)
-    mixed = mix_and_sample(task_sets, open_ended, spec)
+    sizes = {task: len(lines) for task, lines in corpora.items()}
+    picks = sample_picks(sizes, len(open_ended), spec)
+    jobs = [
+        (task, overrides.get(task, TASK_INSTRUCTIONS[task]), corpora[task][i])
+        for task, i in picks
+        if task is not None
+    ]
+    built = iter(list(_map_lines(_record_one, jobs, args.jobs, provider, weights)))
+    mixed = [open_ended[i] if task is None else next(built) for task, i in picks]
     write_jsonl(mixed, args.output)
     counts: dict[str, int] = {}
     for record in mixed:
@@ -242,14 +256,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _job_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type for integers no smaller than ``minimum``."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return convert
 
 
 def _build_parser() -> _Parser:
@@ -259,7 +278,7 @@ def _build_parser() -> _Parser:
     )
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument(
-        "--jobs", type=_job_count, default=1,
+        "--jobs", type=_int_at_least(1), default=1,
         help="worker processes, at most the usable CPUs (default: 1)",
     )
     # alignment settings, for the commands that extract spans
@@ -321,11 +340,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--output", "-o", required=True, metavar="JSONL", help="output dataset path")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
     p.add_argument(
-        "--per-task", type=int, default=MixSpec.per_task_count, metavar="N",
+        "--per-task", type=_int_at_least(0), default=MixSpec.per_task_count,
+        metavar="N",
         help=f"records sampled per rewriting task (default: {MixSpec.per_task_count})",
     )
     p.add_argument(
-        "--open-count", type=int, default=MixSpec.open_ended_count, metavar="N",
+        "--open-count", type=_int_at_least(0), default=MixSpec.open_ended_count,
+        metavar="N",
         help=f"open-ended records sampled (default: {MixSpec.open_ended_count})",
     )
     p.add_argument(

@@ -3,7 +3,9 @@
 Each rewriting task contributes records whose output is the serialized edit
 script for its sentence pair; open-ended records pass through untouched. The
 mixed dataset is sampled without replacement under a fixed seed, so a given
-seed always produces byte-identical output.
+seed always produces byte-identical output. The draws depend only on how many
+records each set has, so a corpus can be checked line by line, sampled by
+index, and aligned only where a line was drawn.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Unio
 from editspan.alignment import CostWeights, extract_line
 from editspan.codec import apply_edits, parse, serialize
 from editspan.errors import ConfigError, DataError, PairLineError
-from editspan.text import detokenize, tokenize
+from editspan.text import annotate, detokenize, open_text, parse_pair_line, tokenize
 
 TASK_INSTRUCTIONS: dict[str, str] = {
     "gec": "Rewrite the input text into grammatically correct text.",
@@ -71,6 +73,26 @@ class MixSpec:
             raise ValueError("sample counts must be non-negative")
 
 
+def pair_record(
+    line: str,
+    task: str,
+    instruction: str,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+    lineno: int = 0,
+) -> DatasetRecord:
+    """One ``source<TAB>target`` line as a record of ``task``.
+
+    The record input is the detokenized source, so re-tokenizing it always
+    yields the token count the output spans were built against.
+
+    Raises:
+        PairLineError: the line is not exactly two tab-separated fields.
+    """
+    src, _, script = extract_line(line, lineno, provider, weights)
+    return DatasetRecord(instruction, detokenize(src), serialize(script), task)
+
+
 def build_task_records(
     lines: Iterable[str],
     task: str,
@@ -80,9 +102,7 @@ def build_task_records(
 ) -> tuple[list[DatasetRecord], list[str]]:
     """Turn ``source<TAB>target`` lines into records for one rewriting task.
 
-    Returns the records plus diagnostics for skipped malformed lines. The
-    record input is the detokenized source, so re-tokenizing it always yields
-    the token count the output spans were built against.
+    Returns the records plus diagnostics for skipped malformed lines.
     """
     if task not in TASK_INSTRUCTIONS:
         raise ConfigError(f"unknown rewriting task: {task!r}")
@@ -91,12 +111,63 @@ def build_task_records(
     skipped: list[str] = []
     for lineno, line in enumerate(lines, 1):
         try:
-            src, _, script = extract_line(line, lineno, provider, weights)
+            records.append(pair_record(line, task, text, provider, weights, lineno))
+        except PairLineError as exc:
+            skipped.append(str(exc))
+    return records, skipped
+
+
+def scan_pair_lines(lines: Iterable[str], provider=None) -> tuple[list[str], list[str]]:
+    """Check ``source<TAB>target`` lines as ``build_task_records`` would, without aligning.
+
+    Returns the well-formed lines, plus the same diagnostics for malformed
+    ones. Both sides of every well-formed line are tokenized and annotated,
+    so a provider's ``DataError`` (a sentence missing from the sidecar) stops
+    the build whether or not the line is sampled.
+    """
+    valid: list[str] = []
+    skipped: list[str] = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            src_text, tgt_text = parse_pair_line(line, lineno)
         except PairLineError as exc:
             skipped.append(str(exc))
             continue
-        records.append(DatasetRecord(text, detokenize(src), serialize(script), task))
-    return records, skipped
+        annotate(tokenize(src_text), provider)
+        annotate(tokenize(tgt_text), provider)
+        valid.append(line)
+    return valid, skipped
+
+
+def sample_picks(
+    task_sizes: Mapping[str, int],
+    open_size: int,
+    spec: Optional[MixSpec] = None,
+) -> list[tuple[Optional[str], int]]:
+    """The draws of ``mix_and_sample`` made from the sizes of the sets alone.
+
+    Returns ``(task, index)`` pairs in output order; open-ended picks have
+    task ``None``. ``random.Random.sample`` and ``shuffle`` look only at
+    lengths, so these are exactly the records ``mix_and_sample`` returns.
+
+    Raises:
+        DataError: a set has fewer records than its requested count.
+    """
+    spec = spec or MixSpec()
+    rng = random.Random(spec.seed)
+    picks: list[tuple[Optional[str], int]] = []
+    for name in sorted(task_sizes):
+        size = task_sizes[name]
+        if size < spec.per_task_count:
+            raise DataError(f"task {name!r} has {size} records, need {spec.per_task_count}")
+        picks.extend((name, i) for i in rng.sample(range(size), spec.per_task_count))
+    if open_size < spec.open_ended_count:
+        raise DataError(
+            f"open-ended set has {open_size} records, need {spec.open_ended_count}"
+        )
+    picks.extend((None, i) for i in rng.sample(range(open_size), spec.open_ended_count))
+    rng.shuffle(picks)
+    return picks
 
 
 def mix_and_sample(
@@ -111,23 +182,11 @@ def mix_and_sample(
     Raises:
         DataError: a set has fewer records than its requested count.
     """
-    spec = spec or MixSpec()
-    rng = random.Random(spec.seed)
-    chosen: list[DatasetRecord] = []
-    for name in sorted(task_sets):
-        records = task_sets[name]
-        if len(records) < spec.per_task_count:
-            raise DataError(
-                f"task {name!r} has {len(records)} records, need {spec.per_task_count}"
-            )
-        chosen.extend(rng.sample(list(records), spec.per_task_count))
-    if len(open_ended) < spec.open_ended_count:
-        raise DataError(
-            f"open-ended set has {len(open_ended)} records, need {spec.open_ended_count}"
-        )
-    chosen.extend(rng.sample(list(open_ended), spec.open_ended_count))
-    rng.shuffle(chosen)
-    return chosen
+    sizes = {name: len(records) for name, records in task_sets.items()}
+    return [
+        open_ended[i] if name is None else task_sets[name][i]
+        for name, i in sample_picks(sizes, len(open_ended), spec)
+    ]
 
 
 @dataclass(frozen=True)
@@ -218,7 +277,7 @@ def write_jsonl(records: Iterable[DatasetRecord], path: Union[str, Path]) -> int
 
 
 def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
-    with path.open(encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue

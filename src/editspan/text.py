@@ -10,11 +10,12 @@ sidecar file.
 from __future__ import annotations
 
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Protocol, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO, Union
 
-from editspan.errors import ConfigError, DataError, PairLineError
+from editspan.errors import ConfigError, DataError, EditSpanError, PairLineError
 
 POS_TAGS = frozenset({
     "NOUN", "VERB", "ADJ", "ADV", "PRON", "DET",
@@ -37,6 +38,22 @@ def char_class(surface: str) -> str:
     if all(unicodedata.category(c).startswith("P") for c in surface):
         return "punctuation"
     return "mixed"
+
+
+@contextmanager
+def open_text(
+    path: Union[str, Path], error: type[EditSpanError] = DataError
+) -> Iterator[TextIO]:
+    """Open ``path`` to read UTF-8 text.
+
+    Bytes that do not decode raise ``error`` naming the file, wherever in the
+    block the text is read, instead of a bare ``UnicodeDecodeError``.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from None
 
 
 def normalize_pos(tag: str) -> str:
@@ -141,7 +158,7 @@ class SidecarProvider:
         path = Path(path)
         blocks: list[list[tuple[str, str, str]]] = []
         current: list[tuple[str, str, str]] = []
-        with path.open(encoding="utf-8") as handle:
+        with open_text(path) as handle:
             for lineno, raw in enumerate(handle, 1):
                 line = raw.rstrip("\r\n")
                 if not line.strip():
@@ -234,7 +251,7 @@ def parse_pair_line(line: str, lineno: int = 0) -> tuple[str, str]:
 def read_parallel_tsv(path: Union[str, Path]) -> list[tuple[str, str]]:
     """Read a parallel corpus of ``source<TAB>target`` lines (strict)."""
     pairs = []
-    with Path(path).open(encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             pairs.append(parse_pair_line(line, lineno))
     return pairs

@@ -2,15 +2,18 @@
 
 Each function here is the plain, obviously-correct version of something
 ``src/editspan`` now does faster: the full alignment dynamic program with no
-trimming or cost table, the two-row character Levenshtein, the per-character
-``char_class``, and ``pair_stats`` that annotates every sentence and aligns
-twice. Tests require the library to give identical results.
+trimming or cost table, the substitution cost through a similarity helper
+and ``char_levenshtein``, the two-row character Levenshtein, the per-character
+``char_class``, ``pair_stats`` that annotates every sentence and aligns
+twice, and the dataset mix that samples the record lists themselves. Tests
+require the library to give identical results.
 """
 
 from __future__ import annotations
 
+import random
 import unicodedata
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from editspan.alignment import (
     AlignOp,
@@ -18,11 +21,13 @@ from editspan.alignment import (
     CostWeights,
     DEFAULT_WEIGHTS,
     OpKind,
-    _discounted_sub,
     canonicalize,
+    char_levenshtein,
     extract_spans,
 )
 from editspan.codec import parse
+from editspan.dataset import DatasetRecord, MixSpec
+from editspan.errors import DataError
 from editspan.metrics import PairStats, compression, edit_f05
 from editspan.text import AnnotatedToken, Sentence
 
@@ -55,6 +60,21 @@ def reference_char_class(surface: str) -> str:
     return "mixed"
 
 
+def reference_discounted_sub(
+    sa: str, sb: str, lemma_eq: bool, pos_eq: bool, w: CostWeights
+) -> float:
+    """The discounted, clamped substitution cost of two distinct surfaces."""
+    similarity = 1.0 - char_levenshtein(sa, sb) / max(len(sa), len(sb))
+    cost = w.base_sub
+    if lemma_eq:
+        cost -= w.w_lemma
+    if pos_eq:
+        cost -= w.w_pos
+    if w.w_char:
+        cost -= w.w_char * similarity
+    return min(max(cost, w.sub_floor), w.base_sub)
+
+
 # backpointer codes, listed in tie-break preference order
 _B_NONE, _B_MATCH, _B_SUB, _B_TRANS, _B_DEL, _B_INS = range(6)
 
@@ -66,8 +86,8 @@ def reference_align(
 ) -> Alignment:
     """The full O(len(src) * len(tgt)) alignment DP over every cell.
 
-    Substitution costs come from ``_discounted_sub`` cell by cell; ties go to
-    MATCH, then SUB, TRANS, DEL, INS.
+    Substitution costs come from ``reference_discounted_sub`` cell by cell;
+    ties go to MATCH, then SUB, TRANS, DEL, INS.
     """
     w = weights or DEFAULT_WEIGHTS
     n, m = len(src), len(tgt)
@@ -95,7 +115,7 @@ def reference_align(
             if sa == tb:
                 best, bop = prev[j - 1], _B_MATCH
             else:
-                best = prev[j - 1] + _discounted_sub(
+                best = prev[j - 1] + reference_discounted_sub(
                     sa, tb, la == t_lem[j - 1], pa == t_pos[j - 1], w
                 )
                 bop = _B_SUB
@@ -173,3 +193,27 @@ def reference_pair_stats(
         fn=score.fn,
         ignored=report.ignored,
     )
+
+
+def reference_mix_and_sample(
+    task_sets: Mapping[str, Sequence[DatasetRecord]],
+    open_ended: Sequence[DatasetRecord],
+    spec: MixSpec,
+) -> list[DatasetRecord]:
+    """``mix_and_sample`` drawing from copies of the record lists."""
+    rng = random.Random(spec.seed)
+    chosen: list[DatasetRecord] = []
+    for name in sorted(task_sets):
+        records = task_sets[name]
+        if len(records) < spec.per_task_count:
+            raise DataError(
+                f"task {name!r} has {len(records)} records, need {spec.per_task_count}"
+            )
+        chosen.extend(rng.sample(list(records), spec.per_task_count))
+    if len(open_ended) < spec.open_ended_count:
+        raise DataError(
+            f"open-ended set has {len(open_ended)} records, need {spec.open_ended_count}"
+        )
+    chosen.extend(rng.sample(list(open_ended), spec.open_ended_count))
+    rng.shuffle(chosen)
+    return chosen

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 
 import pytest
 
@@ -18,10 +19,18 @@ from conftest import (
     SCHOLARS_TGT,
     random_pairs,
 )
-from editspan import cli
+from editspan import alignment, cli
 from editspan.cli import main
-from editspan.dataset import TASK_INSTRUCTIONS, read_dataset_jsonl
+from editspan.dataset import (
+    MixSpec,
+    TASK_INSTRUCTIONS,
+    build_task_records,
+    read_dataset_jsonl,
+    read_open_ended_jsonl,
+    write_jsonl,
+)
 from editspan.errors import DataError
+from reference import reference_mix_and_sample
 
 
 def _write(path, text):
@@ -346,3 +355,162 @@ def test_build_dataset_unknown_override_task(tmp_path, capsys):
         "--output", str(tmp_path / "mix.jsonl"), "--instructions", overrides,
     ]
     assert main(args) == 1
+
+
+@pytest.mark.parametrize("flag", ["--per-task", "--open-count"])
+def test_negative_sample_count_is_a_usage_error(tmp_path, flag, capsys):
+    args = _dataset_args(tmp_path)
+    args[args.index(flag) + 1] = "-1"
+    out_path = tmp_path / "mix.jsonl"
+    assert main(args + ["--output", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least 0, got -1" in err
+    assert not out_path.exists()
+
+
+def _large_corpora(tmp_path, seed, valid_lines):
+    """Four corpora bigger than a sample, with malformed lines among the pairs."""
+    rng = random.Random(seed)
+    paths = {}
+    for k, task in enumerate(TASK_INSTRUCTIONS):
+        pairs = random_pairs(seed=100 * seed + k, count=valid_lines, max_len=12)
+        lines = [f"{s}\t{t}" for s, t in pairs]
+        for bad in ("no tab here", "one\ttwo\tthree", ""):
+            lines.insert(rng.randrange(len(lines) + 1), bad)
+        paths[task] = _write(tmp_path / f"{task}.tsv", "\n".join(lines) + "\n")
+    open_path = _write(
+        tmp_path / "open.jsonl",
+        "".join(
+            json.dumps({"instruction": f"q{i}", "input": f"x{i}", "output": f"a{i}"}) + "\n"
+            for i in range(12)
+        ),
+    )
+    corpora = [a for task, path in paths.items() for a in (f"--{task}", path)]
+    return paths, ["build-dataset", *corpora, "--open-ended", open_path]
+
+
+def _library_dataset(paths, open_path, spec, overrides, out_path):
+    """The dataset built by aligning every line, then sampling the records."""
+    task_sets, notes = {}, []
+    for task, path in paths.items():
+        with open(path, encoding="utf-8") as handle:
+            lines = [line.rstrip("\r\n") for line in handle]
+        task_sets[task], skipped = build_task_records(
+            lines, task, instruction=overrides.get(task)
+        )
+        notes += [f"{path}: skipped {note}\n" for note in skipped]
+    open_ended = read_open_ended_jsonl(open_path)
+    write_jsonl(reference_mix_and_sample(task_sets, open_ended, spec), out_path)
+    return "".join(notes)
+
+
+@pytest.mark.parametrize(
+    ("seed", "per_task", "open_count", "jobs"),
+    [(0, 7, 5, "1"), (1, 0, 0, "1"), (2, 30, 12, "1"), (3, 11, 3, "2"), (4, 30, 0, "2")],
+)
+def test_build_dataset_matches_the_align_everything_pipeline(
+    tmp_path, seed, per_task, open_count, jobs, capsys
+):
+    paths, args = _large_corpora(tmp_path, seed, valid_lines=30)
+    overrides = {"gec": "Fix the grammar.", "simplify": ""} if seed % 2 else {}
+    config = "".join(f"{task} = {text}\n" for task, text in overrides.items())
+    args += [
+        "--instructions", _write(tmp_path / "instructions.cfg", config),
+        "--seed", str(seed), "--per-task", str(per_task), "--open-count", str(open_count),
+    ]
+    out_path, ref_path = tmp_path / "mix.jsonl", tmp_path / "ref.jsonl"
+    assert main(args + ["--jobs", jobs, "-o", str(out_path)]) == 0
+    err = capsys.readouterr().err
+    spec = MixSpec(per_task, open_count, seed)
+    notes = _library_dataset(paths, str(tmp_path / "open.jsonl"), spec, overrides, ref_path)
+    assert err == notes and notes.count("skipped") == 12
+    assert out_path.read_bytes() == ref_path.read_bytes()
+    assert len(read_dataset_jsonl(out_path)) == 4 * per_task + open_count
+
+
+def test_build_dataset_aligns_only_the_sampled_lines(tmp_path, monkeypatch, capsys):
+    calls = []
+    real_align = alignment.align
+
+    def counting_align(*args):
+        calls.append(args)
+        return real_align(*args)
+
+    monkeypatch.setattr(alignment, "align", counting_align)
+    paths, args = _large_corpora(tmp_path, seed=5, valid_lines=30)
+    args += ["--per-task", "4", "--open-count", "2", "-o", str(tmp_path / "mix.jsonl")]
+    assert main(args) == 0
+    assert len(calls) == 4 * 4
+    # the counter sees every alignment the library pipeline makes
+    calls.clear()
+    with open(paths["gec"], encoding="utf-8") as handle:
+        build_task_records(handle, "gec")
+    assert len(calls) == 30
+
+
+def test_build_dataset_unsampled_line_missing_from_sidecar_is_a_data_error(
+    tmp_path, capsys
+):
+    args = _dataset_args(tmp_path)
+    blocks = []
+    for task in TASK_INSTRUCTIONS:
+        for j in range(3):
+            for sentence in (f"src {task} sentence {j}", f"src {task} line {j}"):
+                if sentence != "src style line 2":
+                    blocks.append("".join(f"{w}\t{w}\tOTHER\n" for w in sentence.split()))
+    sidecar = _write(tmp_path / "annotations.tsv", "\n".join(blocks))
+    args[args.index("--per-task") + 1] = "0"
+    out_path = tmp_path / "mix.jsonl"
+    args += ["--provider", "sidecar", "--annotations", sidecar, "-o", str(out_path)]
+    assert main(args) == 2
+    assert "no sidecar annotations for sentence: 'src style line 2'" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+_DATASET_ARGV = [
+    "build-dataset", "--gec", "{gec}", "--paraphrase", "{pairs}", "--style", "{pairs}",
+    "--simplify", "{pairs}", "--open-ended", "{open}", "--per-task", "1",
+    "--open-count", "1", "--instructions", "{instructions}", "-o", "{out}",
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "bad", "code"),
+    [
+        (["extract", "{pairs}", "--weights", "{weights}", "-o", "{out}"], "pairs", 2),
+        (["extract", "{pairs}", "--jobs", "2", "-o", "{out}"], "pairs", 2),
+        (["extract", "{pairs}", "--weights", "{weights}", "-o", "{out}"], "weights", 1),
+        (["roundtrip", "{pairs}"], "pairs", 2),
+        (["apply", "{sources}", "{spans}", "-o", "{out}"], "sources", 2),
+        (["apply", "{sources}", "{spans}", "-o", "{out}"], "spans", 2),
+        (["score", "{sources}", "{spans}", "{targets}"], "targets", 2),
+        (_DATASET_ARGV, "gec", 2),
+        (_DATASET_ARGV, "open", 2),
+        (_DATASET_ARGV + ["--provider", "sidecar", "--annotations", "{sidecar}"], "sidecar", 2),
+        (_DATASET_ARGV, "instructions", 1),
+    ],
+    ids=[
+        "extract-pairs", "extract-jobs2-pairs", "extract-weights", "roundtrip-pairs",
+        "apply-sources", "apply-spans", "score-targets", "build-dataset-corpus",
+        "build-dataset-open-ended", "build-dataset-sidecar", "build-dataset-instructions",
+    ],
+)
+def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, argv, bad, code, capsys):
+    contents = {
+        "pairs": "a b\ta c\n",
+        "gec": "a b\ta c\n",
+        "sources": "a b\n",
+        "spans": "1 2 c\n",
+        "targets": "a c\n",
+        "open": '{"instruction": "q", "output": "a"}\n',
+        "sidecar": "a\ta\tDET\nb\tb\tNOUN\n\na\ta\tDET\nc\tc\tNOUN\n",
+        "weights": "w_char = 0.5\n",
+        "instructions": "gec = Fix it.\n",
+    }
+    paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in contents.items()}
+    (tmp_path / f"{bad}.in").write_bytes(b"\xff" + contents[bad].encode("utf-8"))
+    out_path = tmp_path / "out.txt"
+    assert main([a.format(out=out_path, **paths) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert f"{paths[bad]}: not valid UTF-8 text" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.in" for n in contents)

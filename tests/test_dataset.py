@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 
 import pytest
 
+from editspan import alignment
 from editspan.dataset import (
     DatasetRecord,
     MixSpec,
@@ -16,11 +18,13 @@ from editspan.dataset import (
     mix_and_sample,
     read_dataset_jsonl,
     read_open_ended_jsonl,
+    scan_pair_lines,
     validate_dataset,
     write_jsonl,
 )
 from editspan.errors import ConfigError, DataError
 from editspan.text import SidecarProvider
+from reference import reference_mix_and_sample
 
 
 def test_instruction_strings_are_fixed():
@@ -140,6 +144,53 @@ def test_mix_and_sample_insufficient_records_names_the_set():
         mix_and_sample(task_sets, open_ended, MixSpec(per_task_count=3, open_ended_count=1))
     with pytest.raises(DataError, match="open-ended"):
         mix_and_sample(task_sets, open_ended, MixSpec(per_task_count=1, open_ended_count=10))
+
+
+def test_mix_and_sample_matches_list_sampling_reference():
+    rng = random.Random(5)
+    for seed in range(300):
+        task_sets = {
+            task: [
+                DatasetRecord(TASK_INSTRUCTIONS[task], f"{task} {i}", "None", task)
+                for i in range(rng.randint(0, 40))
+            ]
+            for task in TASK_INSTRUCTIONS
+        }
+        open_ended = [
+            DatasetRecord(f"q{i}", "", f"a{i}", OPEN_ENDED_TASK)
+            for i in range(rng.randint(0, 60))
+        ]
+        smallest = min(len(records) for records in task_sets.values())
+        per_task = rng.choice([0, smallest, rng.randint(0, smallest), smallest + 1])
+        open_count = rng.choice([0, len(open_ended), rng.randint(0, len(open_ended) + 1)])
+        spec = MixSpec(per_task, open_count, seed)
+        try:
+            expected = reference_mix_and_sample(task_sets, open_ended, spec)
+        except DataError as exc:
+            with pytest.raises(DataError) as caught:
+                mix_and_sample(task_sets, open_ended, spec)
+            assert str(caught.value) == str(exc)
+            continue
+        assert mix_and_sample(task_sets, open_ended, spec) == expected
+
+
+def test_scan_pair_lines_checks_without_aligning(tmp_path, monkeypatch):
+    def no_align(*args):
+        raise AssertionError("scan_pair_lines aligned a line")
+
+    monkeypatch.setattr(alignment, "align", no_align)
+    lines = ["a b\ta c", "no tab", "x\ty", "one\ttwo\tthree"]
+    valid, skipped = scan_pair_lines(lines)
+    assert valid == ["a b\ta c", "x\ty"]
+    monkeypatch.undo()
+    assert skipped == build_task_records(lines, "gec")[1]
+    sidecar = tmp_path / "annotations.tsv"
+    sidecar.write_text("good\tgood\tADJ\n\npair\tpair\tNOUN\n", encoding="utf-8")
+    provider = SidecarProvider.from_file(sidecar)
+    assert scan_pair_lines(["good\tpair", "no tab"], provider)[0] == ["good\tpair"]
+    for missing in ("unknown\tpair", "good\tunknown"):
+        with pytest.raises(DataError, match="no sidecar annotations for sentence: 'unknown'"):
+            scan_pair_lines(["good\tpair", missing], provider)
 
 
 def test_validate_dataset_accepts_built_records():
