@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from editspan.codec import EditScript, EditSpan, apply_edits
 from editspan.errors import ConfigError
@@ -107,8 +108,7 @@ class OpKind(Enum):
     TRANS = "trans"
 
 
-@dataclass(frozen=True)
-class AlignOp:
+class AlignOp(NamedTuple):
     """One alignment operation covering half-open token ranges on both sides."""
 
     kind: OpKind
@@ -118,12 +118,21 @@ class AlignOp:
     tgt_end: int
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """An operation sequence tiling both sentences, plus its total cost."""
 
     ops: tuple[AlignOp, ...]
     total_cost: float
+
+
+# (source tokens, target tokens) each op consumes
+_STEP = {
+    OpKind.MATCH: (1, 1),
+    OpKind.SUB: (1, 1),
+    OpKind.TRANS: (2, 2),
+    OpKind.DEL: (1, 0),
+    OpKind.INS: (0, 1),
+}
 
 
 @lru_cache(maxsize=1 << 16)
@@ -169,24 +178,6 @@ def char_levenshtein(a: str, b: str) -> int:
     return _char_distance_cached(a, b)
 
 
-def _discounted_sub(sa: str, sb: str, lemma_eq: bool, pos_eq: bool, w: CostWeights) -> float:
-    # callers pass distinct surfaces; the distance is symmetric, and the
-    # arguments are ordered as char_levenshtein orders them for cache reuse
-    base = cost = w.base_sub
-    if lemma_eq:
-        cost -= w.w_lemma
-    if pos_eq:
-        cost -= w.w_pos
-    if w.w_char:
-        dist = _char_distance_cached(sb, sa) if sa > sb else _char_distance_cached(sa, sb)
-        cost -= w.w_char * (1.0 - dist / max(len(sa), len(sb)))
-    if cost < w.sub_floor:
-        return w.sub_floor
-    if cost > base:
-        return base
-    return cost
-
-
 def sub_cost(
     a: AnnotatedToken, b: AnnotatedToken, weights: Optional[CostWeights] = None
 ) -> float:
@@ -195,13 +186,24 @@ def sub_cost(
     Zero for identical surfaces; otherwise the discounted, clamped base cost.
     """
     w = weights or DEFAULT_WEIGHTS
-    if a.surface == b.surface:
+    sa, sb = a.surface, b.surface
+    if sa == sb:
         return 0.0
-    return _discounted_sub(a.surface, b.surface, a.lemma == b.lemma, a.pos == b.pos, w)
-
-
-# backpointer codes, listed in tie-break preference order
-_B_NONE, _B_MATCH, _B_SUB, _B_TRANS, _B_DEL, _B_INS = range(6)
+    base = cost = w.base_sub
+    if a.lemma == b.lemma:
+        cost -= w.w_lemma
+    if a.pos == b.pos:
+        cost -= w.w_pos
+    if w.w_char:
+        # the distance is symmetric; order the arguments as char_levenshtein
+        # does, so both share cache entries
+        dist = _char_distance_cached(sb, sa) if sa > sb else _char_distance_cached(sa, sb)
+        cost -= w.w_char * (1.0 - dist / max(len(sa), len(sb)))
+    if cost < w.sub_floor:
+        return w.sub_floor
+    if cost > base:
+        return base
+    return cost
 
 
 def align(
@@ -218,6 +220,7 @@ def align(
     deterministic function of the inputs and weights.
     """
     w = weights or DEFAULT_WEIGHTS
+    MATCH, SUB, TRANS, DEL, INS = OpKind.MATCH, OpKind.SUB, OpKind.TRANS, OpKind.DEL, OpKind.INS
     s_surf = [a.surface for a in src]
     t_surf = [a.surface for a in tgt]
     # The common surface suffix always aligns as MATCH ops (README, "Aligner"),
@@ -226,7 +229,6 @@ def align(
     while n and m and s_surf[n - 1] == t_surf[m - 1]:
         n -= 1
         m -= 1
-    suffix = len(src) - n
     ins_c, del_c, trans_c = w.insert_cost, w.delete_cost, w.transpose_cost
 
     # substitution cost of each distinct (source token, target token) pair,
@@ -238,7 +240,8 @@ def align(
     prev = [0.0]
     for _ in range(m):
         prev.append(prev[-1] + ins_c)
-    back = [[_B_NONE] + [_B_INS] * m]
+    # back[i][j] is the last op of the best path to cell (i, j); None at the origin
+    back: list[list[Optional[OpKind]]] = [[None] + [INS] * m]
     prev2: list[float] = []
     sp: Optional[str] = None  # the previous source surface
     for i in range(n):
@@ -246,34 +249,29 @@ def align(
         sa = a.surface
         subs = sub_rows.get(a)
         if subs is None:
-            la, pa = a.lemma, a.pos
-            by_token = [
-                0.0 if sa == b.surface
-                else _discounted_sub(sa, b.surface, la == b.lemma, pa == b.pos, w)
-                for b in t_ids
-            ]
+            by_token = [sub_cost(a, b, w) for b in t_ids]
             subs = sub_rows[a] = [by_token[k] for k in t_col]
         left = prev[0] + del_c
         row = [left]
-        brow = [_B_DEL]
+        brow: list[Optional[OpKind]] = [DEL]
         tp: Optional[str] = None  # the previous target surface
         for j in range(m):
             tb = t_surf[j]
             if sa == tb:
                 # a transposition here would swap equal tokens: dearer than two matches
-                best, bop = prev[j], _B_MATCH
+                best, bop = prev[j], MATCH
             else:
-                best, bop = prev[j] + subs[j], _B_SUB
+                best, bop = prev[j] + subs[j], SUB
                 if sa == tp and sp == tb:
                     c = prev2[j - 1] + trans_c
                     if c < best:
-                        best, bop = c, _B_TRANS
+                        best, bop = c, TRANS
             c = prev[j + 1] + del_c
             if c < best:
-                best, bop = c, _B_DEL
+                best, bop = c, DEL
             c = left + ins_c
             if c < best:
-                best, bop = c, _B_INS
+                best, bop = c, INS
             row.append(best)
             brow.append(bop)
             left = best
@@ -282,45 +280,16 @@ def align(
         prev2, prev = prev, row
         sp = sa
 
-    trail: list[int] = []
-    i, j = n, m
-    while i or j:
-        bop = back[i][j]
-        trail.append(bop)
-        if bop == _B_MATCH or bop == _B_SUB:
-            i -= 1
-            j -= 1
-        elif bop == _B_DEL:
-            i -= 1
-        elif bop == _B_INS:
-            j -= 1
-        else:
-            i -= 2
-            j -= 2
-    trail.reverse()
-    trail.extend([_B_MATCH] * suffix)
-
+    # walk back from the end of both sentences; past row n lies the suffix
     ops: list[AlignOp] = []
-    si = ti = 0
-    for bop in trail:
-        if bop == _B_MATCH:
-            ops.append(AlignOp(OpKind.MATCH, si, si + 1, ti, ti + 1))
-            si += 1
-            ti += 1
-        elif bop == _B_SUB:
-            ops.append(AlignOp(OpKind.SUB, si, si + 1, ti, ti + 1))
-            si += 1
-            ti += 1
-        elif bop == _B_DEL:
-            ops.append(AlignOp(OpKind.DEL, si, si + 1, ti, ti))
-            si += 1
-        elif bop == _B_INS:
-            ops.append(AlignOp(OpKind.INS, si, si, ti, ti + 1))
-            ti += 1
-        else:
-            ops.append(AlignOp(OpKind.TRANS, si, si + 2, ti, ti + 2))
-            si += 2
-            ti += 2
+    i, j = len(src), len(tgt)
+    while i or j:
+        kind = back[i][j] if i <= n else MATCH
+        di, dj = _STEP[kind]
+        ops.append(AlignOp(kind, i - di, i, j - dj, j))
+        i -= di
+        j -= dj
+    ops.reverse()
     return Alignment(tuple(ops), prev[m])
 
 
@@ -331,11 +300,11 @@ def merge_ops(alignment: Alignment) -> tuple[AlignOp, ...]:
     through untouched, so the result still tiles both sequences.
     """
     merged: list[AlignOp] = []
-    run: list[AlignOp] = []
-
-    def flush() -> None:
-        if not run:
-            return
+    for is_match, group in groupby(alignment.ops, lambda op: op.kind is OpKind.MATCH):
+        if is_match:
+            merged.extend(group)
+            continue
+        run = list(group)
         src_start, src_end = run[0].src_start, run[-1].src_end
         tgt_start, tgt_end = run[0].tgt_start, run[-1].tgt_end
         if src_start == src_end:
@@ -345,15 +314,6 @@ def merge_ops(alignment: Alignment) -> tuple[AlignOp, ...]:
         else:
             kind = OpKind.SUB
         merged.append(AlignOp(kind, src_start, src_end, tgt_start, tgt_end))
-        run.clear()
-
-    for op in alignment.ops:
-        if op.kind is OpKind.MATCH:
-            flush()
-            merged.append(op)
-        else:
-            run.append(op)
-    flush()
     return tuple(merged)
 
 

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import sys
 from contextlib import contextmanager
+from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from editspan.alignment import CostWeights, extract_line, read_kv_config
@@ -113,6 +114,26 @@ def _iter_lines(path: str) -> Iterator[str]:
             yield line.rstrip("\r\n")
 
 
+def _read_rows(paths: dict[str, str]) -> Iterator[tuple[str, ...]]:
+    """The files' lines, one from each file per row, read as they are needed.
+
+    Raises:
+        DataError: at the end of the shortest file, if the line counts differ.
+    """
+    files = [_iter_lines(path) for path in paths.values()]
+    rows = 0
+    for row in zip_longest(*files):
+        if None in row:
+            counts = [
+                rows + (line is not None) + sum(1 for _ in lines)
+                for line, lines in zip(row, files)
+            ]
+            listing = ", ".join(f"{name} has {n}" for name, n in zip(paths, counts))
+            raise DataError(f"line counts differ: {listing}")
+        rows += 1
+        yield row
+
+
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
     """Standard output, or ``path`` written all or nothing."""
@@ -142,31 +163,18 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _zip_strict(name_a: str, lines_a: list[str], name_b: str, lines_b: list[str]):
-    if len(lines_a) != len(lines_b):
-        raise DataError(
-            f"line counts differ: {name_a} has {len(lines_a)}, {name_b} has {len(lines_b)}"
-        )
-    return zip(lines_a, lines_b)
-
-
 def cmd_apply(args: argparse.Namespace) -> int:
-    sources = list(_iter_lines(args.sources))
-    spans = list(_iter_lines(args.spans))
-    rows = [
-        (lineno, source, span_text)
-        for lineno, (source, span_text) in enumerate(
-            _zip_strict("sources", sources, "spans", spans), 1
-        )
-    ]
-    ignored_total = 0
+    rows = _read_rows({"sources": args.sources, "spans": args.spans})
+    numbered = ((lineno, *row) for lineno, row in enumerate(rows, 1))
+    lines = ignored_total = 0
     with _output(args.output) as out:
-        for text, ignored in _map_lines(_apply_one, rows, args.jobs, None, None):
+        for text, ignored in _map_lines(_apply_one, numbered, args.jobs, None, None):
+            lines += 1
             ignored_total += ignored
             print(text, file=out)
     if ignored_total:
         print(
-            f"ignored {ignored_total} malformed fragment(s) across {len(rows)} line(s)",
+            f"ignored {ignored_total} malformed fragment(s) across {lines} line(s)",
             file=sys.stderr,
         )
     return 0
@@ -174,15 +182,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     provider, weights = _load_provider(args), _load_weights(args)
-    sources = list(_iter_lines(args.sources))
-    spans = list(_iter_lines(args.spans))
-    targets = list(_iter_lines(args.targets))
-    if not len(sources) == len(spans) == len(targets):
-        raise DataError(
-            f"line counts differ: sources has {len(sources)}, spans has "
-            f"{len(spans)}, targets has {len(targets)}"
-        )
-    rows = list(zip(sources, spans, targets))
+    rows = _read_rows(
+        {"sources": args.sources, "spans": args.spans, "targets": args.targets}
+    )
     report = reduce_stats(_map_lines(_score_one, rows, args.jobs, provider, weights))
     if args.report == "text":
         for key, value in report.items():

@@ -13,9 +13,11 @@ Parsing is total: malformed fragments are dropped and reported through a
 from __future__ import annotations
 
 import re
+import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Optional
 
 from editspan.errors import DataError
 from editspan.text import Sentence
@@ -120,6 +122,22 @@ def split_fragments(text: str) -> list[str]:
     return fragments
 
 
+def _position(token: str, digits: int) -> Optional[int]:
+    """The value of a ``-?\\d+`` token, or None if its magnitude has more than
+    ``digits`` significant digits.
+
+    Decided from the digit count before ``int``, which refuses strings longer
+    than ``sys.get_int_max_str_digits()``; leading zeros do not count.
+    """
+    sign = "-" if token[0] == "-" else ""
+    magnitude = token[len(sign):]
+    if len(magnitude) <= digits:
+        return int(token)
+    if any(unicodedata.decimal(c) for c in magnitude[:-digits]):
+        return None
+    return int(sign + magnitude[-digits:])
+
+
 def parse(text: str, source_len: int) -> ParseReport:
     """Parse serialized span text against a source of ``source_len`` tokens.
 
@@ -133,6 +151,7 @@ def parse(text: str, source_len: int) -> ParseReport:
         raise ValueError(f"source length must be non-negative: {source_len}")
     if text.strip() == NONE_SENTINEL:
         return ParseReport(EditScript((), source_len))
+    digits = len(str(source_len))
     notes: list[str] = []
     # kept sorted by start; accepted spans are disjoint, so a candidate can
     # only overlap its nearest neighbours on either side
@@ -143,8 +162,8 @@ def parse(text: str, source_len: int) -> ParseReport:
         if len(tokens) < 2 or not _INT.fullmatch(tokens[0]) or not _INT.fullmatch(tokens[1]):
             notes.append(f"discarded fragment {idx}: no leading start/end positions: {shown!r}")
             continue
-        start, end = int(tokens[0]), int(tokens[1])
-        if start < 0 or end < start or end > source_len:
+        start, end = _position(tokens[0], digits), _position(tokens[1], digits)
+        if start is None or end is None or start < 0 or end < start or end > source_len:
             notes.append(
                 f"discarded fragment {idx}: positions invalid for source length "
                 f"{source_len}: {shown!r}"
@@ -165,7 +184,7 @@ def parse(text: str, source_len: int) -> ParseReport:
 
 
 def apply_edits(script: EditScript, src: Sentence) -> Sentence:
-    """Apply a script to its source sentence by splicing spans right-to-left.
+    """Apply a script to its source sentence in one left-to-right pass.
 
     Raises:
         DataError: the script was built for a different source length.
@@ -174,9 +193,14 @@ def apply_edits(script: EditScript, src: Sentence) -> Sentence:
         raise DataError(
             f"script expects a {script.source_len}-token source, got {len(src)} tokens"
         )
-    surfaces = list(src.surfaces)
-    # spans are sorted ascending and disjoint, so right-to-left splicing
-    # leaves every remaining span's positions untouched
-    for span in reversed(script.spans):
-        surfaces[span.start:span.end] = span.replacement
+    source = src.surfaces
+    surfaces: list[str] = []
+    at = 0
+    # spans are sorted ascending and disjoint: copy the source up to each span,
+    # then its replacement, and carry on after it
+    for span in script.spans:
+        surfaces += source[at:span.start]
+        surfaces += span.replacement
+        at = span.end
+    surfaces += source[at:]
     return Sentence(tuple(surfaces))

@@ -3,10 +3,11 @@
 Each function here is the plain, obviously-correct version of something
 ``src/editspan`` now does faster: the full alignment dynamic program with no
 trimming or cost table, the substitution cost through a similarity helper
-and ``char_levenshtein``, the two-row character Levenshtein, the per-character
-``char_class``, ``pair_stats`` that annotates every sentence and aligns
-twice, and the dataset mix that samples the record lists themselves. Tests
-require the library to give identical results.
+and ``char_levenshtein``, the merge of edit runs through a run buffer, the
+two-row character Levenshtein, the per-character ``char_class``,
+``pair_stats`` that annotates every sentence and aligns twice, and the
+dataset mix that samples the record lists themselves. Tests require the
+library to give identical results.
 """
 
 from __future__ import annotations
@@ -171,6 +172,35 @@ def reference_align(
             si += 2
             ti += 2
     return Alignment(tuple(ops), cost[n][m])
+
+
+def reference_merge_ops(alignment: Alignment) -> tuple[AlignOp, ...]:
+    """``merge_ops`` with an explicit buffer of the current non-MATCH run."""
+    merged: list[AlignOp] = []
+    run: list[AlignOp] = []
+
+    def flush() -> None:
+        if not run:
+            return
+        src_start, src_end = run[0].src_start, run[-1].src_end
+        tgt_start, tgt_end = run[0].tgt_start, run[-1].tgt_end
+        if src_start == src_end:
+            kind = OpKind.INS
+        elif tgt_start == tgt_end:
+            kind = OpKind.DEL
+        else:
+            kind = OpKind.SUB
+        merged.append(AlignOp(kind, src_start, src_end, tgt_start, tgt_end))
+        run.clear()
+
+    for op in alignment.ops:
+        if op.kind is OpKind.MATCH:
+            flush()
+            merged.append(op)
+        else:
+            run.append(op)
+    flush()
+    return tuple(merged)
 
 
 def reference_pair_stats(

@@ -35,7 +35,7 @@ from editspan.alignment import (
 from editspan.codec import EditSpan, apply_edits
 from editspan.errors import ConfigError
 from editspan.text import AnnotatedToken, NaiveProvider, annotate, tokenize
-from reference import reference_align, reference_char_distance
+from reference import reference_align, reference_char_distance, reference_merge_ops
 
 
 def _annotated(text: str):
@@ -300,11 +300,11 @@ def _differential_pairs(seed, count, vocab, max_len, max_edits, varied):
     ids=["two-words", "five-words", "varied-annotations", "custom-weights", "up-to-40"],
 )
 def test_align_matches_reference_dp(seed, count, vocab, max_len, max_edits, varied, weights):
-    mismatches = [
-        (src, tgt)
-        for src, tgt in _differential_pairs(seed, count, vocab, max_len, max_edits, varied)
-        if align(src, tgt, weights) != reference_align(src, tgt, weights)
-    ]
+    mismatches = []
+    for src, tgt in _differential_pairs(seed, count, vocab, max_len, max_edits, varied):
+        got, want = align(src, tgt, weights), reference_align(src, tgt, weights)
+        if got != want or merge_ops(got) != reference_merge_ops(want):
+            mismatches.append((src, tgt))
     assert mismatches == []
 
 
@@ -315,7 +315,9 @@ def test_align_matches_reference_dp_on_long_pairs(length):
     words = [rng.choice(vocab) for _ in range(length)]
     src = annotate(tokenize(" ".join(words)))
     tgt = annotate(tokenize(" ".join(_edited(rng, words, vocab, length // 20))))
-    assert align(src, tgt) == reference_align(src, tgt)
+    got, want = align(src, tgt), reference_align(src, tgt)
+    assert got == want
+    assert merge_ops(got) == reference_merge_ops(want)
 
 
 def test_merge_coalesces_sub_plus_ins():

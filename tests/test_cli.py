@@ -174,6 +174,40 @@ def test_apply_line_count_mismatch_is_a_data_error(tmp_path, capsys):
     assert "line counts differ" in capsys.readouterr().err
 
 
+def test_position_past_the_int_digit_limit_is_an_ignored_fragment(tmp_path, capsys):
+    sources = _write(tmp_path / "src.txt", "a b c\n")
+    spans = _write(tmp_path / "spans.txt", "9" * 5000 + " 1 x, 1 2 y\n")
+    targets = _write(tmp_path / "tgt.txt", "a y c\n")
+    assert main(["apply", sources, spans]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines() == ["a y c"]
+    assert out.err == "ignored 1 malformed fragment(s) across 1 line(s)\n"
+    assert main(["score", sources, spans, targets]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ignored_fragments"] == 1 and report["f05"] == 1.0
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "counts", [(150, 149), (149, 150), (150, 150, 149), (150, 70, 150), (0, 150, 150)]
+)
+def test_line_count_mismatch_is_found_while_streaming(tmp_path, counts, jobs, capsys):
+    # more lines than one 64-line pool chunk, so the error comes mid-stream
+    names = ("sources", "spans", "targets")[:len(counts)]
+    lines = {"sources": "a b c\n", "spans": "1 2 x\n", "targets": "a x c\n"}
+    paths = [_write(tmp_path / f"{name}.txt", lines[name] * n) for name, n in zip(names, counts)]
+    out_path = tmp_path / "out.txt"
+    if len(counts) == 2:
+        argv = ["apply", *paths, "-o", str(out_path), "--jobs", jobs]
+    else:
+        argv = ["score", *paths, "--jobs", jobs]
+    assert main(argv) == 2
+    listing = ", ".join(f"{name} has {n}" for name, n in zip(names, counts))
+    assert capsys.readouterr().err == f"editspan: error: line counts differ: {listing}\n"
+    assert not out_path.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.txt" for n in names)
+
+
 def test_apply_data_error_leaves_earlier_output_untouched(tmp_path, monkeypatch, capsys):
     sources = _write(tmp_path / "src.txt", "a b c\nd e f\ng h\n")
     spans = _write(tmp_path / "spans.txt", "None\nNone\nNone\n")

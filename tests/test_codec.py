@@ -174,6 +174,20 @@ def test_parse_handles_huge_positions():
     assert report.ignored == 1
 
 
+def test_parse_positions_past_the_int_digit_limit_are_invalid():
+    # int() refuses more than 4300 digits by default
+    for text in ("9" * 5000 + " 1 x", "0 " + "1" * 5000 + " x", "-" + "9" * 5000 + " 1 x"):
+        report = parse(text, 3)
+        assert report.script.spans == () and report.ignored == 1
+        assert "positions invalid for source length 3" in report.notes[0]
+    # leading zeros are not significant, in any script's decimal digits
+    for zeros in ("0" * 5000, "\u0660" * 5000):
+        report = parse(f"{zeros}1 {zeros}2 x, -{zeros}3 3 y", 3)
+        assert report.script.spans == (EditSpan(1, 2, ("x",)),)
+        assert report.ignored == 1
+        assert parse(f"-{zeros} 1 y", 3).script.spans == (EditSpan(0, 1, ("y",)),)
+
+
 def _conflicts(a: EditSpan, b: EditSpan) -> bool:
     """Reference overlap rule: two spans may not start at one gap or overlap."""
     if a.start == b.start:
@@ -228,6 +242,17 @@ def test_parse_many_disjoint_fragments_is_fast():
         elapsed = time.perf_counter() - began
         assert len(report.script.spans) == count and report.ignored == 0
         assert elapsed < 2.0, f"{count} disjoint fragments took {elapsed:.2f} s"
+
+
+def test_apply_edits_many_insertions_is_fast():
+    count = 80_000
+    src = Sentence(tuple(f"w{i}" for i in range(count)))
+    script = EditScript(tuple(EditSpan(i, i, ("x",)) for i in range(count)), count)
+    began = time.perf_counter()
+    produced = apply_edits(script, src)
+    elapsed = time.perf_counter() - began
+    assert produced.surfaces == tuple(t for i in range(count) for t in ("x", f"w{i}"))
+    assert elapsed < 0.5, f"{count} insertions took {elapsed:.2f} s"
 
 
 def test_edit_span_validation():
