@@ -9,6 +9,7 @@ convert directly to edit spans over source gap positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
@@ -48,6 +49,9 @@ class CostWeights:
     sub_floor: float = 0.1
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         for name in ("w_lemma", "w_pos", "w_char"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

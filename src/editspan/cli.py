@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from itertools import zip_longest
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
@@ -21,6 +22,7 @@ from editspan.dataset import (
     DatasetRecord,
     MixSpec,
     TASK_INSTRUCTIONS,
+    TASK_LABELS,
     atomic_output,
     pair_record,
     read_open_ended_jsonl,
@@ -76,8 +78,8 @@ def _extract_one(numbered: tuple[int, str]) -> str:
     return serialize(extract_line(line, lineno, _PROVIDER, _WEIGHTS)[2])
 
 
-def _apply_one(numbered: tuple[int, str, str]) -> tuple[str, int]:
-    _, source, span_text = numbered
+def _apply_one(row: tuple[str, str]) -> tuple[str, int]:
+    source, span_text = row
     src = tokenize(source)
     report = parse(span_text, len(src))
     return detokenize(apply_edits(report.script, src)), report.ignored
@@ -165,10 +167,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     rows = _read_rows({"sources": args.sources, "spans": args.spans})
-    numbered = ((lineno, *row) for lineno, row in enumerate(rows, 1))
     lines = ignored_total = 0
     with _output(args.output) as out:
-        for text, ignored in _map_lines(_apply_one, numbered, args.jobs, None, None):
+        for text, ignored in _map_lines(_apply_one, rows, args.jobs, None, None):
             lines += 1
             ignored_total += ignored
             print(text, file=out)
@@ -217,12 +218,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         if unknown:
             raise ConfigError(f"unknown task(s) in instructions file: {sorted(unknown)}")
     spec = MixSpec(args.per_task, args.open_count, args.seed)
-    corpus_paths = {
-        "gec": args.gec,
-        "paraphrase": args.paraphrase,
-        "style": args.style,
-        "simplify": args.simplify,
-    }
+    corpus_paths = {task: getattr(args, task) for task in TASK_INSTRUCTIONS}
     # Check every line first, keeping only its text; sampling needs nothing
     # but the counts, so only the sampled lines are ever aligned.
     corpora: dict[str, list[str]] = {}
@@ -241,11 +237,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     built = iter(list(_map_lines(_record_one, jobs, args.jobs, provider, weights)))
     mixed = [open_ended[i] if task is None else next(built) for task, i in picks]
     write_jsonl(mixed, args.output)
-    counts: dict[str, int] = {}
-    for record in mixed:
-        counts[record.task] = counts.get(record.task, 0) + 1
-    for task in (*TASK_INSTRUCTIONS, "open_ended"):
-        print(f"{task} {counts.get(task, 0)}")
+    counts = Counter(record.task for record in mixed)
+    for task in TASK_LABELS:
+        print(f"{task} {counts[task]}")
     print(f"total {len(mixed)}")
     return 0
 
@@ -382,10 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"editspan: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"editspan: error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -26,8 +26,7 @@ NONE_SENTINEL = "None"
 
 _INT = re.compile(r"-?\d+")
 # a comma starts a new fragment only when two integers follow it
-_BOUNDARY = re.compile(r"\s*-?\d+\s+-?\d+")
-_COMMA = re.compile(",")
+_BOUNDARY = re.compile(r",(?=\s*-?\d+\s+-?\d+)")
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,7 @@ def split_fragments(text: str) -> list[str]:
     """
     if not text.strip():
         return []
-    fragments = []
-    start = 0
-    for match in _COMMA.finditer(text):
-        pos = match.start()
-        if _BOUNDARY.match(text, pos + 1):
-            fragments.append(text[start:pos])
-            start = pos + 1
-    fragments.append(text[start:])
-    return fragments
+    return _BOUNDARY.split(text)
 
 
 def _position(token: str, digits: int) -> Optional[int]:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
@@ -49,15 +50,12 @@ class DatasetRecord:
             raise ValueError(f"unknown task label: {self.task!r}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "instruction": self.instruction,
-                "input": self.input,
-                "output": self.output,
-                "task": self.task,
-            },
-            ensure_ascii=False,
-        )
+        return json.dumps(vars(self), ensure_ascii=False)
+
+
+_FIELDS = tuple(field.name for field in fields(DatasetRecord))
+# json.loads pairs valid surrogate escapes; any surrogate left is a lone one
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -276,56 +274,54 @@ def write_jsonl(records: Iterable[DatasetRecord], path: Union[str, Path]) -> int
     return count
 
 
-def _iter_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
+def _read_jsonl(
+    path: Union[str, Path], required: Sequence[str], task: Optional[str] = None
+) -> list[DatasetRecord]:
+    """Records from JSON Lines, one object per non-blank line.
+
+    Every key in ``required`` must be present; other fields default to ``""``.
+    Values are read with ``str``. A given ``task`` labels every record, and
+    any ``task`` key in the line is ignored. A field holding a lone surrogate
+    is an error, since it cannot be written as UTF-8.
+
+    Raises:
+        DataError: naming the file and line.
+    """
+    path = Path(path)
+    records = []
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}: line {lineno}: expected a JSON object")
-            yield lineno, obj
+            try:
+                if not isinstance(obj, dict):
+                    raise ValueError("expected a JSON object")
+                missing = [key for key in required if key not in obj]
+                if missing:
+                    raise ValueError(f"missing {', '.join(missing)}")
+                values = {key: str(obj.get(key, "")) for key in _FIELDS}
+                if task is not None:
+                    values["task"] = task
+                for key, value in values.items():
+                    if _SURROGATE.search(value):
+                        raise ValueError(
+                            f"{key} is not valid Unicode: it holds a lone surrogate"
+                        )
+                records.append(DatasetRecord(**values))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
+    return records
 
 
 def read_open_ended_jsonl(path: Union[str, Path]) -> list[DatasetRecord]:
     """Ingest pre-existing instruction records, labelling them open-ended."""
-    path = Path(path)
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        missing = [key for key in ("instruction", "output") if key not in obj]
-        if missing:
-            raise DataError(f"{path}: line {lineno}: missing {', '.join(missing)}")
-        records.append(
-            DatasetRecord(
-                instruction=str(obj["instruction"]),
-                input=str(obj.get("input", "")),
-                output=str(obj["output"]),
-                task=OPEN_ENDED_TASK,
-            )
-        )
-    return records
+    return _read_jsonl(path, ("instruction", "output"), OPEN_ENDED_TASK)
 
 
 def read_dataset_jsonl(path: Union[str, Path]) -> list[DatasetRecord]:
     """Read back a dataset written by ``write_jsonl``."""
-    path = Path(path)
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        missing = [k for k in ("instruction", "input", "output", "task") if k not in obj]
-        if missing:
-            raise DataError(f"{path}: line {lineno}: missing {', '.join(missing)}")
-        try:
-            records.append(
-                DatasetRecord(
-                    instruction=str(obj["instruction"]),
-                    input=str(obj["input"]),
-                    output=str(obj["output"]),
-                    task=str(obj["task"]),
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-    return records
+    return _read_jsonl(path, _FIELDS)

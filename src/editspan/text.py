@@ -201,9 +201,12 @@ def make_provider(
     """Build a registered provider by name.
 
     Raises:
-        ConfigError: unknown name, or ``sidecar`` without an annotations file.
+        ConfigError: unknown name, ``sidecar`` without an annotations file, or
+            ``naive`` with one.
     """
     if name == "naive":
+        if annotations_path is not None:
+            raise ConfigError("the naive provider takes no annotations file")
         return NaiveProvider()
     if name == "sidecar":
         if annotations_path is None:

@@ -4,7 +4,8 @@ Each function here is the plain, obviously-correct version of something
 ``src/editspan`` now does faster: the full alignment dynamic program with no
 trimming or cost table, the substitution cost through a similarity helper
 and ``char_levenshtein``, the merge of edit runs through a run buffer, the
-two-row character Levenshtein, the per-character ``char_class``,
+two-row character Levenshtein, the per-character ``char_class``, the
+comma-by-comma fragment split,
 ``pair_stats`` that annotates every sentence and aligns twice, and the
 dataset mix that samples the record lists themselves. Tests require the
 library to give identical results.
@@ -13,6 +14,7 @@ library to give identical results.
 from __future__ import annotations
 
 import random
+import re
 import unicodedata
 from typing import Mapping, Optional, Sequence
 
@@ -78,6 +80,25 @@ def reference_discounted_sub(
 
 # backpointer codes, listed in tie-break preference order
 _B_NONE, _B_MATCH, _B_SUB, _B_TRANS, _B_DEL, _B_INS = range(6)
+
+
+_COMMA = re.compile(",")
+_BOUNDARY = re.compile(r"\s*-?\d+\s+-?\d+")
+
+
+def reference_split_fragments(text: str) -> list[str]:
+    """``split_fragments`` testing each comma for two integers after it."""
+    if not text.strip():
+        return []
+    fragments = []
+    start = 0
+    for match in _COMMA.finditer(text):
+        pos = match.start()
+        if _BOUNDARY.match(text, pos + 1):
+            fragments.append(text[start:pos])
+            start = pos + 1
+    fragments.append(text[start:])
+    return fragments
 
 
 def reference_align(

@@ -138,6 +138,11 @@ def test_cost_weights_validation():
         CostWeights(sub_floor=0.0)
     with pytest.raises(ValueError):
         CostWeights(sub_floor=9.9)
+    names = ("w_lemma", "w_char", "insert_cost", "delete_cost", "transpose_cost", "sub_floor")
+    for name in names:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                CostWeights(**{name: value})
 
 
 def test_cost_weights_from_mapping():
@@ -150,6 +155,9 @@ def test_cost_weights_from_mapping():
         CostWeights.from_mapping({"w_lemma": "high"})
     with pytest.raises(ConfigError):
         CostWeights.from_mapping({"insert_cost": "-2"})
+    for key, value in (("w_char", "nan"), ("insert_cost", "inf"), ("w_pos", "-Infinity")):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            CostWeights.from_mapping({key: value})
 
 
 def test_cost_weights_from_file(tmp_path):

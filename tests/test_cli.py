@@ -121,6 +121,10 @@ def test_flags_belong_to_their_commands(pairs_file, tmp_path, capsys):
     assert main(["apply", sources, spans, "--seed", "1"]) == 1
     assert main(["apply", sources, spans, "--provider", "naive"]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+    # the naive provider would ignore a sidecar file
+    annotations = _write(tmp_path / "annotations.tsv", "a\ta\tDET\n")
+    assert main(["extract", pairs_file, "--annotations", annotations]) == 1
+    assert "naive provider takes no annotations file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -215,10 +219,10 @@ def test_apply_data_error_leaves_earlier_output_untouched(tmp_path, monkeypatch,
     out_path.write_text("earlier run\n", encoding="utf-8")
     apply_one = cli._apply_one
 
-    def fail_on_line_two(numbered):
-        if numbered[0] == 2:
+    def fail_on_line_two(row):
+        if row[0] == "d e f":
             raise DataError("line 2: unreadable")
-        return apply_one(numbered)
+        return apply_one(row)
 
     monkeypatch.setattr(cli, "_apply_one", fail_on_line_two)
     assert main(["apply", sources, spans, "-o", str(out_path)]) == 2
@@ -302,6 +306,16 @@ def test_bad_weights_file_is_a_usage_error(tmp_path, capsys):
     weights = _write(tmp_path / "weights.cfg", "w_bogus = 1\n")
     assert main(["extract", pairs, "--weights", weights]) == 1
     assert "w_bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["w_char = nan", "insert_cost = inf", "w_pos = -inf"])
+def test_weights_that_are_not_finite_are_a_usage_error(tmp_path, line, capsys):
+    pairs = _write(tmp_path / "pairs.tsv", "a b\ta c\n")
+    weights = _write(tmp_path / "weights.cfg", line + "\n")
+    assert main(["extract", pairs, "--weights", weights]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{line.split()[0]} must be finite" in out.err
 
 
 def test_extract_with_sidecar_provider(tmp_path, capsys):
@@ -548,3 +562,51 @@ def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, argv, bad, code, caps
     err = capsys.readouterr().err
     assert f"{paths[bad]}: not valid UTF-8 text" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.in" for n in contents)
+
+
+def test_build_dataset_open_ended_error_names_the_file_as_given(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    args = _dataset_args(tmp_path)
+    _write(tmp_path / "open.jsonl", '{"instruction": "q", "output": "a"}\n[1]\n')
+    args[args.index("--open-ended") + 1] = "./open.jsonl"
+    assert main(args + ["-o", "mix.jsonl"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "editspan: error: open.jsonl: line 2: expected a JSON object\n"
+    assert out.out == ""
+    assert not (tmp_path / "mix.jsonl").exists()
+
+
+@pytest.mark.parametrize("open_count", ["0", "5"])
+def test_build_dataset_lone_surrogate_is_a_data_error_sampled_or_not(
+    tmp_path, open_count, capsys
+):
+    args = _dataset_args(tmp_path)
+    open_path = tmp_path / "open.jsonl"
+    lines = open_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = '{"instruction": "q", "input": "x\\ud800", "output": "a"}\n'
+    open_path.write_text("".join(lines), encoding="utf-8")
+    args[args.index("--open-count") + 1] = open_count
+    out_path = tmp_path / "mix.jsonl"
+    assert main(args + ["-o", str(out_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"editspan: error: {open_path}: line 3: input is not valid Unicode: "
+        "it holds a lone surrogate\n"
+    )
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(("per_task", "open_count"), [("2", "3"), ("0", "0"), ("1", "5")])
+def test_build_dataset_summary_lists_every_task_in_order(
+    tmp_path, per_task, open_count, capsys
+):
+    args = _dataset_args(tmp_path)
+    args[args.index("--per-task") + 1] = per_task
+    args[args.index("--open-count") + 1] = open_count
+    assert main(args + ["-o", str(tmp_path / "mix.jsonl")]) == 0
+    total = 4 * int(per_task) + int(open_count)
+    assert capsys.readouterr().out == (
+        f"gec {per_task}\nparaphrase {per_task}\nstyle {per_task}\n"
+        f"simplify {per_task}\nopen_ended {open_count}\ntotal {total}\n"
+    )

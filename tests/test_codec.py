@@ -31,6 +31,7 @@ from editspan.codec import (
 from editspan.alignment import canonicalize
 from editspan.errors import DataError
 from editspan.text import Sentence, detokenize, tokenize
+from reference import reference_split_fragments
 
 
 def test_serialize_reference_script():
@@ -166,6 +167,21 @@ def test_split_fragments_accounting():
     assert split_fragments("1 2 x, 3 4 y") == ["1 2 x", " 3 4 y"]
     assert split_fragments(",1 2 x") == ["", "1 2 x"]
     assert split_fragments("a, b") == ["a, b"]
+
+
+# the characters a fragment boundary turns on: commas, whitespace (the
+# ideographic space too), signs, ASCII and non-ASCII decimal digits
+_SPLIT_ALPHABET = (
+    ",", ",", " ", " ", "\t", "\u3000", "-", "0", "1", "7", "42",
+    "\u0663", "\u096b", "\uff11", "x", "é", "None",
+)
+
+
+def test_split_fragments_matches_reference_on_random_strings():
+    rng = random.Random(11)
+    for _ in range(100_000):
+        text = "".join(rng.choices(_SPLIT_ALPHABET, k=rng.randrange(16)))
+        assert split_fragments(text) == reference_split_fragments(text), text
 
 
 def test_parse_handles_huge_positions():

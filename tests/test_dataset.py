@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -270,13 +271,20 @@ def test_read_open_ended_jsonl(tmp_path):
     path = tmp_path / "open.jsonl"
     path.write_text(
         '{"instruction": "summarize", "input": "long text", "output": "short"}\n'
-        '{"instruction": "list three colors", "output": "red green blue"}\n',
+        '{"instruction": "list three colors", "output": "red green blue"}\n'
+        '{"instruction": "i", "output": "o", "task": "translate"}\n'
+        '{"instruction": 1, "input": null, "output": [1, "b"], "task": "gec"}\n',
         encoding="utf-8",
     )
     records = read_open_ended_jsonl(path)
-    assert [r.task for r in records] == [OPEN_ENDED_TASK] * 2
+    assert [r.task for r in records] == [OPEN_ENDED_TASK] * 4
     assert records[0].input == "long text"
     assert records[1].input == ""
+    # any task key is ignored, and values that are not strings are read with str
+    assert records[2:] == [
+        DatasetRecord("i", "", "o", OPEN_ENDED_TASK),
+        DatasetRecord("1", "None", "[1, 'b']", OPEN_ENDED_TASK),
+    ]
 
 
 def test_read_open_ended_jsonl_missing_keys(tmp_path):
@@ -291,3 +299,92 @@ def test_read_dataset_jsonl_rejects_bad_json(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_dataset_jsonl(path)
+
+
+def _reader_error(read, tmp_path, monkeypatch, text):
+    """The message of the ``DataError`` that ``read`` raises on ``./bad.jsonl``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text(text, encoding="utf-8")
+    with pytest.raises(DataError) as caught:
+        read("./bad.jsonl")
+    return str(caught.value)
+
+
+_RECORD = '{"instruction": "i", "input": "x", "output": "o", "task": "gec"}\n'
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("\nnot json\n", "line 2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (_RECORD + '{"instruction": "i",\n', "line 2: invalid JSON: Expecting property name "
+         "enclosed in double quotes: line 2 column 1 (char 21)"),
+        ("[1, 2]\n", "line 1: expected a JSON object"),
+        ('"text"\n', "line 1: expected a JSON object"),
+        ("{}\n", "line 1: missing instruction, input, output, task"),
+        ('{"task": "gec", "output": "o"}\n', "line 1: missing instruction, input"),
+        (_RECORD + '{"instruction": "i", "input": "", "output": "o"}\n', "line 2: missing task"),
+        (_RECORD * 2 + '{"instruction": "i", "input": "", "output": "o", "task": "translate"}\n',
+         "line 3: unknown task label: 'translate'"),
+        ('{"instruction": "i", "input": "", "output": "o", "task": 7}\n',
+         "line 1: unknown task label: '7'"),
+    ],
+)
+def test_read_dataset_jsonl_error_messages(tmp_path, monkeypatch, text, message):
+    assert _reader_error(read_dataset_jsonl, tmp_path, monkeypatch, text) == (
+        f"bad.jsonl: {message}"
+    )
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("\n  \nnot json\n", "line 3: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]\n", "line 1: expected a JSON object"),
+        ("null\n", "line 1: expected a JSON object"),
+        ("{}\n", "line 1: missing instruction, output"),
+        ('{"input": "x", "task": "gec"}\n', "line 1: missing instruction, output"),
+        ('{"instruction": "i", "output": "o"}\n{"output": "o"}\n', "line 2: missing instruction"),
+    ],
+)
+def test_read_open_ended_jsonl_error_messages(tmp_path, monkeypatch, text, message):
+    assert _reader_error(read_open_ended_jsonl, tmp_path, monkeypatch, text) == (
+        f"bad.jsonl: {message}"
+    )
+
+
+@pytest.mark.parametrize("read", [read_dataset_jsonl, read_open_ended_jsonl])
+@pytest.mark.parametrize(
+    ("field", "escaped"),
+    [("instruction", "\\ud800"), ("output", "ok \\udfff"), ("input", "\\udc00x")],
+)
+def test_reader_lone_surrogate_is_a_data_error(tmp_path, monkeypatch, read, field, escaped):
+    record = {"instruction": "i", "input": "", "output": "o", "task": "gec"}
+    good = json.dumps(record) + "\n"
+    bad = good.replace(f'"{field}": "{record[field]}"', f'"{field}": "{escaped}"')
+    assert bad != good
+    assert _reader_error(read, tmp_path, monkeypatch, good + bad) == (
+        f"bad.jsonl: line 2: {field} is not valid Unicode: it holds a lone surrogate"
+    )
+
+
+def test_reader_accepts_paired_surrogate_escapes(tmp_path):
+    # an open-ended record's task key is ignored, lone surrogate and all
+    path = tmp_path / "open.jsonl"
+    path.write_text(
+        '{"instruction": "\\ud83d\\ude00", "output": "o", "task": "\\ud800"}\n',
+        encoding="utf-8",
+    )
+    records = read_open_ended_jsonl(path)
+    assert records == [DatasetRecord("\U0001f600", "", "o", OPEN_ENDED_TASK)]
+
+
+def test_reader_json_beyond_the_parser_limits_is_a_data_error(tmp_path, monkeypatch):
+    deep = '{"instruction": ' + "[" * 100_000 + "]" * 100_000 + ', "output": "o"}\n'
+    message = _reader_error(read_open_ended_jsonl, tmp_path, monkeypatch, deep)
+    assert message.startswith("bad.jsonl: line 1: invalid JSON: maximum recursion depth")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        huge = '{"instruction": ' + "1" * (limit + 1) + ', "output": "o"}\n'
+        message = _reader_error(read_open_ended_jsonl, tmp_path, monkeypatch, huge)
+        assert message.startswith("bad.jsonl: line 1: invalid JSON: Exceeds the limit")

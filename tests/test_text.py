@@ -188,6 +188,8 @@ def test_make_provider():
         make_provider("sidecar")
     with pytest.raises(ConfigError):
         make_provider("spacy")
+    with pytest.raises(ConfigError, match="naive provider takes no annotations file"):
+        make_provider("naive", "annotations.tsv")
 
 
 def test_parse_pair_line():
