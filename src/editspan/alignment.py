@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from editspan.codec import EditScript, EditSpan, apply_edits
-from editspan.errors import ConfigError
+from editspan.errors import ConfigError, DataError
 from editspan.text import (
     AnnotatedToken,
     Sentence,
@@ -27,6 +27,17 @@ from editspan.text import (
     parse_pair_line,
     tokenize,
 )
+
+# The largest band ``align`` fills, as rows times the widest row; past it,
+# ``align`` raises DataError before allocating. A 1000 x 1000 table fits.
+MAX_BAND_CELLS = 1 << 20
+# The largest weight accepted. A path through n x m tokens has at most n + m
+# ops, so at most 2 * MAX_BAND_CELLS within the budget, of at most 2 * MAX_WEIGHT
+# each: every path total, and every bound the band is priced with, stays finite.
+MAX_WEIGHT = 1e300
+# The relative margin of the band's stopping rule. It exceeds the rounding of
+# any path sum of at most 2 * MAX_BAND_CELLS terms by orders of magnitude.
+_BAND_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,8 +61,11 @@ class CostWeights:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite")
+            if value > MAX_WEIGHT:
+                raise ValueError(f"{field.name} must be at most {MAX_WEIGHT:g}")
         for name in ("w_lemma", "w_pos", "w_char"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -217,11 +231,17 @@ def align(
 ) -> Alignment:
     """Minimum-cost alignment of two annotated token sequences.
 
-    O(len(src) * len(tgt)) dynamic program over the tokens before the
-    common suffix, which aligns as MATCH ops. Transposition applies only to
-    adjacent pairs whose surfaces match crosswise. Cost ties are broken by
-    preferring MATCH, then SUB, TRANS, DEL, INS, which makes the result a
-    deterministic function of the inputs and weights.
+    An exact banded dynamic program over the tokens before the common
+    suffix, which aligns as MATCH ops: it fills only the diagonals near the
+    length difference, in at most two passes, in O(len(src) * k) time and
+    memory for a band of half-width k (README, "Aligner"). Transposition
+    applies only to adjacent pairs whose surfaces match crosswise. Cost ties
+    are broken by preferring MATCH, then SUB, TRANS, DEL, INS, which makes the
+    result a deterministic function of the inputs and weights.
+
+    Raises:
+        DataError: the band to fill, sized as rows times its widest row, is
+            larger than ``MAX_BAND_CELLS``.
     """
     w = weights or DEFAULT_WEIGHTS
     MATCH, SUB, TRANS, DEL, INS = OpKind.MATCH, OpKind.SUB, OpKind.TRANS, OpKind.DEL, OpKind.INS
@@ -233,68 +253,124 @@ def align(
     while n and m and s_surf[n - 1] == t_surf[m - 1]:
         n -= 1
         m -= 1
-    ins_c, del_c, trans_c = w.insert_cost, w.delete_cost, w.transpose_cost
+    ins_c, del_c, trans_c, floor = w.insert_cost, w.delete_cost, w.transpose_cost, w.sub_floor
+    inf = math.inf
+    d = m - n
+    # A path through a cell off band k takes the |d| one-way steps every path
+    # takes plus k + 1 insert-delete excursions; at k >= min(n, m) the band
+    # is the whole table.
+    gap = d * ins_c if d >= 0 else -d * del_c
+    excursion = ins_c + del_c
+    whole = min(n, m)
 
-    # substitution cost of each distinct (source token, target token) pair,
-    # laid out per distinct source token as a row over target positions
+    # substitution costs, computed the first time an in-band cell needs them:
+    # source token -> {target token id: cost}
     t_ids: dict[AnnotatedToken, int] = {}
     t_col = [t_ids.setdefault(b, len(t_ids)) for b in tgt[:m]]
-    sub_rows: dict[AnnotatedToken, list[float]] = {}
+    t_tokens = list(t_ids)
+    sub_costs: dict[AnnotatedToken, dict[int, float]] = {}
 
-    prev = [0.0]
-    for _ in range(m):
-        prev.append(prev[-1] + ins_c)
-    # back[i][j] is the last op of the best path to cell (i, j); None at the origin
-    back: list[list[Optional[OpKind]]] = [[None] + [INS] * m]
-    prev2: list[float] = []
-    sp: Optional[str] = None  # the previous source surface
-    for i in range(n):
-        a = src[i]
-        sa = a.surface
-        subs = sub_rows.get(a)
-        if subs is None:
-            by_token = [sub_cost(a, b, w) for b in t_ids]
-            subs = sub_rows[a] = [by_token[k] for k in t_col]
-        left = prev[0] + del_c
-        row = [left]
-        brow: list[Optional[OpKind]] = [DEL]
-        tp: Optional[str] = None  # the previous target surface
-        for j in range(m):
-            tb = t_surf[j]
-            if sa == tb:
-                # a transposition here would swap equal tokens: dearer than two matches
-                best, bop = prev[j], MATCH
+    k = 1
+    while True:
+        lo, hi = min(0, d) - k, max(0, d) + k
+        cells = (n + 1) * min(m + 1, hi - lo + 1)  # at least the band's cells
+        if cells > MAX_BAND_CELLS:
+            raise DataError(
+                f"aligning {len(src)} x {len(tgt)} tokens needs a band of {cells} cells, "
+                f"more than the budget of {MAX_BAND_CELLS}"
+            )
+        # Cell (i, j) of row i sits at index j - i - lo, so its diagonal
+        # neighbour (i-1, j-1) and transposition source (i-2, j-2) share its
+        # index in their rows and (i-1, j) sits one to the right. The extra
+        # last slot, like every slot off the table, stays infinite.
+        width = hi - lo + 2
+        prev = [inf] * width
+        prev[-lo] = 0.0
+        for j in range(1, min(m, hi) + 1):
+            prev[j - lo] = prev[j - 1 - lo] + ins_c
+        # back[i] holds the last op of the best path to each cell of row i,
+        # from column max(0, i + lo); None at the origin
+        back: list[list[Optional[OpKind]]] = [[None] + [INS] * min(m, hi)]
+        prev2 = prev
+        sp: Optional[str] = None  # the previous source surface
+        for i in range(1, n + 1):
+            a = src[i - 1]
+            sa = a.surface
+            subs = sub_costs.get(a)
+            if subs is None:
+                subs = sub_costs[a] = {}
+            off = i + lo  # column of index 0 in this row
+            row = [inf] * width
+            if off <= 0:
+                left = row[-off] = prev[1 - off] + del_c
+                brow: list[Optional[OpKind]] = [DEL]
+                first = 1
             else:
-                best, bop = prev[j] + subs[j], SUB
-                if sa == tp and sp == tb:
-                    c = prev2[j - 1] + trans_c
-                    if c < best:
-                        best, bop = c, TRANS
-            c = prev[j + 1] + del_c
-            if c < best:
-                best, bop = c, DEL
-            c = left + ins_c
-            if c < best:
-                best, bop = c, INS
-            row.append(best)
-            brow.append(bop)
-            left = best
-            tp = tb
-        back.append(brow)
-        prev2, prev = prev, row
-        sp = sa
+                left = inf
+                brow = []
+                first = off
+            last = min(m, i + hi)
+            tp = t_surf[first - 2] if first > 1 else None  # the previous target surface
+            for t, tb, tid in zip(
+                range(first - off, last - off + 1), t_surf[first - 1:last], t_col[first - 1:last]
+            ):
+                diag = prev[t]
+                dl = prev[t + 1] + del_c
+                il = left + ins_c
+                if sa == tb:
+                    # a transposition here would swap equal tokens: dearer than two matches
+                    best, bop = diag, MATCH
+                else:
+                    # SUB costs at least sub_floor; where DEL or INS is cheaper
+                    # than that, SUB cannot win and its cost is not needed
+                    best, bop = diag + floor, SUB
+                    if best > dl or best > il:
+                        best = inf
+                    else:
+                        c = subs.get(tid)
+                        if c is None:
+                            c = subs[tid] = sub_cost(a, t_tokens[tid], w)
+                        best = diag + c
+                    if sa == tp and sp == tb:
+                        c = prev2[t] + trans_c
+                        if c < best:
+                            best, bop = c, TRANS
+                if dl < best:
+                    best, bop = dl, DEL
+                if il < best:
+                    best, bop = il, INS
+                row[t] = best
+                brow.append(bop)
+                left = best
+                tp = tb
+            back.append(brow)
+            prev2, prev = prev, row
+            sp = sa
+        total = prev[m - n - lo]
+        # Accept when every path leaving the band costs more than the band's
+        # result plus the margin. Otherwise the smallest band that passes this
+        # test for this result is final, as a wider band's result is no larger.
+        limit = total + total * _BAND_MARGIN
+        if k >= whole or gap + (k + 1) * excursion > limit:
+            break
+        if not math.isfinite(limit):
+            k = whole
+            continue
+        k = max(k + 1, min(whole, int((limit - gap) / excursion)))
+        while k < whole and gap + (k + 1) * excursion <= limit:
+            k += 1
 
     # walk back from the end of both sentences; past row n lies the suffix
     ops: list[AlignOp] = []
     i, j = len(src), len(tgt)
     while i or j:
-        kind = back[i][j] if i <= n else MATCH
+        kind = back[i][j - max(0, i + lo)] if i <= n else MATCH
         di, dj = _STEP[kind]
         ops.append(AlignOp(kind, i - di, i, j - dj, j))
         i -= di
         j -= dj
     ops.reverse()
-    return Alignment(tuple(ops), prev[m])
+    return Alignment(tuple(ops), total)
 
 
 def merge_ops(alignment: Alignment) -> tuple[AlignOp, ...]:

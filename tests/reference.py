@@ -2,7 +2,7 @@
 
 Each function here is the plain, obviously-correct version of something
 ``src/editspan`` now does faster: the full alignment dynamic program with no
-trimming or cost table, the substitution cost through a similarity helper
+trimming, band or cost cache, the substitution cost through a similarity helper
 and ``char_levenshtein``, the merge of edit runs through a run buffer, the
 two-row character Levenshtein, the per-character ``char_class``, the
 comma-by-comma fragment split,

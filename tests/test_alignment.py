@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import string
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,10 @@ from conftest import (
     exhaustive_min_cost,
     random_pair,
 )
+from editspan import alignment as alignment_module
 from editspan.alignment import (
+    MAX_BAND_CELLS,
+    MAX_WEIGHT,
     AlignOp,
     CostWeights,
     OpKind,
@@ -33,7 +38,7 @@ from editspan.alignment import (
     sub_cost,
 )
 from editspan.codec import EditSpan, apply_edits
-from editspan.errors import ConfigError
+from editspan.errors import ConfigError, DataError
 from editspan.text import AnnotatedToken, NaiveProvider, annotate, tokenize
 from reference import reference_align, reference_char_distance, reference_merge_ops
 
@@ -143,6 +148,25 @@ def test_cost_weights_validation():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 CostWeights(**{name: value})
+
+
+def test_cost_weights_reject_weights_past_the_maximum():
+    for field in ("w_lemma", "w_pos", "w_char", "insert_cost", "delete_cost",
+                  "transpose_cost", "sub_floor"):
+        with pytest.raises(ValueError, match=f"{field} must be at most 1e\\+300"):
+            CostWeights(**{field: MAX_WEIGHT * 2})
+    with pytest.raises(ConfigError, match="insert_cost must be at most"):
+        CostWeights.from_mapping({"insert_cost": "1e308", "delete_cost": "1e308"})
+    # the longest path within the cell budget, every op at the dearest cost
+    assert math.isfinite(2 * (MAX_BAND_CELLS + 1) * 2 * MAX_WEIGHT)
+
+
+def test_align_is_minimal_at_the_weight_maximum():
+    weights = CostWeights(insert_cost=MAX_WEIGHT, delete_cost=MAX_WEIGHT)
+    script = extract_spans(tokenize("a b c d e"), tokenize("a c d e f"), weights=weights)
+    assert script.spans == (EditSpan(1, 2, ()), EditSpan(5, 5, ("f",)))
+    src, tgt = _annotated("a b c d e"), _annotated("a c d e f")
+    assert align(src, tgt, weights) == reference_align(src, tgt, weights)
 
 
 def test_cost_weights_from_mapping():
@@ -274,10 +298,18 @@ def _edited(rng: random.Random, tokens: list, vocab: tuple, edits: int) -> list:
     return out
 
 
-def _differential_pairs(seed, count, vocab, max_len, max_edits, varied):
-    """Annotated (source, target) pairs: targets edited from their sources,
-    and one pair in ten unrelated. With ``varied``, a surface's annotation is
-    drawn per occurrence, so equal surfaces need not be equal tokens."""
+def _differential_pairs(seed, count, vocab, max_len, max_edits, varied, shape="edited"):
+    """Annotated (source, target) pairs. With ``varied``, a surface's
+    annotation is drawn per occurrence, so equal surfaces need not be equal
+    tokens. The ``shape`` decides how a target relates to its source:
+
+    - ``edited``: edited from it, and one pair in ten unrelated;
+    - ``front``: up to ``max_edits`` leading tokens rewritten, which puts the
+      edits where a narrow band cannot reach them;
+    - ``gap``: one side at most two tokens long;
+    - ``disjoint``: no token in common, source and target drawn from
+      alternate words of ``vocab``.
+    """
     rng = random.Random(seed)
     naive = {word: NaiveProvider().annotate([word])[0] for word in vocab}
     variants = {word: (naive[word], AnnotatedToken(word, "x", "NOUN")) for word in vocab}
@@ -287,29 +319,62 @@ def _differential_pairs(seed, count, vocab, max_len, max_edits, varied):
             return tuple(rng.choice(variants[word]) for word in words)
         return tuple(naive[word] for word in words)
 
+    def draw(words):
+        return [rng.choice(words) for _ in range(rng.randint(0, max_len))]
+
     for _ in range(count):
-        src = [rng.choice(vocab) for _ in range(rng.randint(0, max_len))]
-        if rng.random() < 0.1:
-            tgt = [rng.choice(vocab) for _ in range(rng.randint(0, max_len))]
+        if shape == "disjoint":
+            src, tgt = draw(vocab[::2]), draw(vocab[1::2])
         else:
-            tgt = _edited(rng, src, vocab, rng.randint(0, max_edits))
+            src = draw(vocab)
+        if shape == "front":
+            cut = rng.randint(0, min(len(src), max_edits))
+            tgt = [rng.choice(vocab) for _ in range(rng.randint(0, max_edits))] + src[cut:]
+        elif shape == "gap":
+            short = [rng.choice(vocab) for _ in range(rng.randint(0, 2))]
+            src, tgt = (src, short) if rng.random() < 0.5 else (short, src)
+        elif shape == "edited":
+            if rng.random() < 0.1:
+                tgt = draw(vocab)
+            else:
+                tgt = _edited(rng, src, vocab, rng.randint(0, max_edits))
         yield annotated(src), annotated(tgt)
 
 
-@pytest.mark.parametrize(
-    ("seed", "count", "vocab", "max_len", "max_edits", "varied", "weights"),
-    [
-        (1, 35_000, ("a", "b"), 12, 4, False, None),
-        (2, 35_000, ("a", "b", "c", "d", "e"), 12, 4, False, None),
-        (3, 20_000, ("cat", "cats", "act", "Cat", "."), 12, 4, True, None),
-        (4, 10_000, VOCAB, 12, 4, False, CUSTOM_WEIGHTS),
-        (5, 3_000, VOCAB + tuple(f"w{i}" for i in range(40)), 40, 8, True, None),
-    ],
-    ids=["two-words", "five-words", "varied-annotations", "custom-weights", "up-to-40"],
+# insertions dearer than deletions, and the reverse with a transposition
+# cheaper than the cheapest substitution
+INSERT_HEAVY = CostWeights(insert_cost=1.7, delete_cost=0.6, transpose_cost=0.9, sub_floor=0.2)
+DELETE_HEAVY = CostWeights(
+    w_char=1.0, insert_cost=0.4, delete_cost=2.2, transpose_cost=0.05, sub_floor=0.3,
 )
-def test_align_matches_reference_dp(seed, count, vocab, max_len, max_edits, varied, weights):
+
+
+@pytest.mark.parametrize(
+    ("seed", "count", "vocab", "max_len", "max_edits", "varied", "weights", "shape"),
+    [
+        (1, 35_000, ("a", "b"), 12, 4, False, None, "edited"),
+        (2, 35_000, ("a", "b", "c", "d", "e"), 12, 4, False, None, "edited"),
+        (3, 20_000, ("cat", "cats", "act", "Cat", "."), 12, 4, True, None, "edited"),
+        (4, 10_000, VOCAB, 12, 4, False, CUSTOM_WEIGHTS, "edited"),
+        (5, 3_000, VOCAB + tuple(f"w{i}" for i in range(40)), 40, 8, True, None, "edited"),
+        (6, 3_000, ("a", "b", "c", "d", "e"), 16, 8, True, INSERT_HEAVY, "front"),
+        (7, 1_000, VOCAB + tuple(f"w{i}" for i in range(40)), 40, 8, False, DELETE_HEAVY, "front"),
+        (8, 1_500, VOCAB, 40, 0, True, INSERT_HEAVY, "gap"),
+        (9, 600, VOCAB + tuple(f"w{i}" for i in range(40)), 40, 0, False, None, "disjoint"),
+        (10, 5_000, ("a", "b", "c"), 12, 4, True, DELETE_HEAVY, "edited"),
+    ],
+    ids=[
+        "two-words", "five-words", "varied-annotations", "custom-weights", "up-to-40",
+        "front-edits-insert-heavy", "front-edits-delete-heavy", "length-gap", "disjoint",
+        "cheap-transpose",
+    ],
+)
+def test_align_matches_reference_dp(
+    seed, count, vocab, max_len, max_edits, varied, weights, shape
+):
     mismatches = []
-    for src, tgt in _differential_pairs(seed, count, vocab, max_len, max_edits, varied):
+    pairs = _differential_pairs(seed, count, vocab, max_len, max_edits, varied, shape)
+    for src, tgt in pairs:
         got, want = align(src, tgt, weights), reference_align(src, tgt, weights)
         if got != want or merge_ops(got) != reference_merge_ops(want):
             mismatches.append((src, tgt))
@@ -326,6 +391,39 @@ def test_align_matches_reference_dp_on_long_pairs(length):
     got, want = align(src, tgt), reference_align(src, tgt)
     assert got == want
     assert merge_ops(got) == reference_merge_ops(want)
+
+
+def test_align_raises_before_filling_a_band_past_the_budget(monkeypatch):
+    src, tgt = _annotated("a b c d e"), _annotated("v w x y z")
+    monkeypatch.setattr(alignment_module, "MAX_BAND_CELLS", 17)
+    # the first band (k = 1) spans 6 rows of at most 3 cells
+    with pytest.raises(DataError, match="5 x 5 tokens needs a band of 18 cells"):
+        align(src, tgt)
+    monkeypatch.setattr(alignment_module, "MAX_BAND_CELLS", 18)
+    # the disjoint pair needs a second band, here the whole table
+    with pytest.raises(DataError, match="a band of 36 cells, more than the budget of 18"):
+        align(src, tgt)
+    monkeypatch.setattr(alignment_module, "MAX_BAND_CELLS", 36)
+    assert align(src, tgt) == reference_align(src, tgt)
+
+
+def test_align_memory_grows_with_the_band_not_the_table():
+    rng = random.Random(3)
+    vocab = [f"w{i}" for i in range(2000)]
+    words = [rng.choice(vocab) for _ in range(800)]
+    edited = list(words)
+    for _ in range(5):
+        edited[rng.randrange(800)] = rng.choice(vocab)
+    src, tgt = annotate(tokenize(" ".join(words))), annotate(tokenize(" ".join(edited)))
+    align(src, tgt)  # fill the character-distance cache first
+    tracemalloc.start()
+    try:
+        align(src, tgt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n x m table of backpointers alone takes 8 bytes a cell
+    assert peak < 801 * 801 * 8 / 10
 
 
 def test_merge_coalesces_sub_plus_ins():

@@ -308,6 +308,28 @@ def test_bad_weights_file_is_a_usage_error(tmp_path, capsys):
     assert "w_bogus" in capsys.readouterr().err
 
 
+def test_weights_past_the_maximum_are_a_usage_error(tmp_path, capsys):
+    # their sums would overflow: every path would cost inf
+    pairs = _write(tmp_path / "pairs.tsv", "a b c d e\ta c d e f\n")
+    weights = _write(tmp_path / "weights.cfg", "insert_cost = 1e308\ndelete_cost = 1e308\n")
+    assert main(["extract", pairs, "--weights", weights]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "insert_cost must be at most 1e+300" in out.err
+
+
+def test_pair_past_the_alignment_budget_is_a_data_error(tmp_path, capsys):
+    # two unrelated 1500-token sentences: the band the first pass prices as
+    # needed has about 1.8M of the table's 2.25M cells
+    src = " ".join(f"s{i}" for i in range(1500))
+    tgt = " ".join(f"t{i}" for i in range(1500))
+    pairs = _write(tmp_path / "pairs.tsv", f"a\tb\n{src}\t{tgt}\n")
+    out_path = tmp_path / "spans.txt"
+    assert main(["extract", pairs, "-o", str(out_path)]) == 2
+    assert "more than the budget of" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("line", ["w_char = nan", "insert_cost = inf", "w_pos = -inf"])
 def test_weights_that_are_not_finite_are_a_usage_error(tmp_path, line, capsys):
     pairs = _write(tmp_path / "pairs.tsv", "a b\ta c\n")
