@@ -8,7 +8,7 @@ from typing import Iterable, Optional
 from editspan.alignment import CostWeights, _extract_annotated, canonicalize
 from editspan.codec import EditScript, apply_edits, parse
 from editspan.errors import DataError
-from editspan.text import Sentence, annotate, detokenize
+from editspan.text import Sentence, annotate
 
 
 @dataclass(frozen=True)
@@ -16,30 +16,22 @@ class CompressionStat:
     """How compact a serialized script is relative to its target sentence.
 
     Token counts are whitespace tokens of the serialized string, so the empty
-    script (``None``) counts as one. A character-count variant is included
-    alongside the primary token ratio.
+    script (``None``) counts as one.
     """
 
     span_tokens: int
     target_tokens: int
     ratio: float
-    span_chars: int
-    target_chars: int
-    char_ratio: float
 
 
 def compression(span_text: str, target: Sentence) -> CompressionStat:
     """Measure serialized span text against the plain target sentence."""
     span_tokens = len(span_text.split())
     target_tokens = len(target)
-    target_text = detokenize(target)
     return CompressionStat(
         span_tokens=span_tokens,
         target_tokens=target_tokens,
         ratio=span_tokens / max(target_tokens, 1),
-        span_chars=len(span_text),
-        target_chars=len(target_text),
-        char_ratio=len(span_text) / max(len(target_text), 1),
     )
 
 

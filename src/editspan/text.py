@@ -147,52 +147,53 @@ class SidecarProvider:
 
     The file holds one token per line as ``surface<TAB>lemma<TAB>pos`` with a
     blank line between sentences. Sentences are looked up by their exact
-    surface sequence; duplicate sentences share one annotation block.
+    surface sequence; when a sentence occurs twice, its later block replaces
+    the earlier one. Equal rows share one ``AnnotatedToken``.
     """
 
-    annotations: Mapping[tuple[str, ...], tuple[tuple[str, str], ...]]
+    annotations: Mapping[tuple[str, ...], tuple[AnnotatedToken, ...]]
     name: str = "sidecar"
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "SidecarProvider":
         path = Path(path)
-        blocks: list[list[tuple[str, str, str]]] = []
-        current: list[tuple[str, str, str]] = []
+        mapping: dict[tuple[str, ...], tuple[AnnotatedToken, ...]] = {}
+        tokens: dict[str, AnnotatedToken] = {}
+        block: list[AnnotatedToken] = []
         with open_text(path) as handle:
             for lineno, raw in enumerate(handle, 1):
                 line = raw.rstrip("\r\n")
-                if not line.strip():
-                    if current:
-                        blocks.append(current)
-                        current = []
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(
-                        f"{path}: line {lineno}: expected surface<TAB>lemma<TAB>pos"
+                token = tokens.get(line)
+                if token is None:
+                    if not line.strip():
+                        if block:
+                            mapping[tuple(t.surface for t in block)] = tuple(block)
+                            block = []
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) != 3:
+                        raise DataError(
+                            f"{path}: line {lineno}: expected surface<TAB>lemma<TAB>pos"
+                        )
+                    surface, lemma, pos = parts
+                    if not lemma.strip():
+                        raise DataError(f"{path}: line {lineno}: empty lemma")
+                    token = tokens[line] = AnnotatedToken(
+                        surface, lemma.strip().lower(), normalize_pos(pos)
                     )
-                surface, lemma, pos = parts
-                if not lemma.strip():
-                    raise DataError(f"{path}: line {lineno}: empty lemma")
-                current.append((surface, lemma.strip().lower(), normalize_pos(pos)))
-        if current:
-            blocks.append(current)
-        mapping = {
-            tuple(row[0] for row in block): tuple((row[1], row[2]) for row in block)
-            for block in blocks
-        }
+                block.append(token)
+        if block:
+            mapping[tuple(t.surface for t in block)] = tuple(block)
         return cls(mapping)
 
     def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
         if not surfaces:
             return ()
         key = tuple(surfaces)
-        rows = self.annotations.get(key)
-        if rows is None:
+        annotated = self.annotations.get(key)
+        if annotated is None:
             raise DataError(f"no sidecar annotations for sentence: {' '.join(key)!r}")
-        return tuple(
-            AnnotatedToken(surface, lemma, pos) for surface, (lemma, pos) in zip(key, rows)
-        )
+        return annotated
 
 
 def make_provider(

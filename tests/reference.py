@@ -6,8 +6,9 @@ trimming, band or cost cache, the substitution cost through a similarity helper
 and ``char_levenshtein``, the merge of edit runs through a run buffer, the
 two-row character Levenshtein, the per-character ``char_class``, the
 comma-by-comma fragment split,
-``pair_stats`` that annotates every sentence and aligns twice, and the
-dataset mix that samples the record lists themselves. Tests require the
+``pair_stats`` that annotates every sentence and aligns twice, the
+dataset mix that samples the record lists themselves, and the sidecar loader
+that keeps every row and builds a fresh token tuple on each lookup. Tests require the
 library to give identical results.
 """
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 import random
 import re
 import unicodedata
-from typing import Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Mapping, Optional, Sequence, Union
 
 from editspan.alignment import (
     AlignOp,
@@ -32,7 +34,7 @@ from editspan.codec import parse
 from editspan.dataset import DatasetRecord, MixSpec
 from editspan.errors import DataError
 from editspan.metrics import PairStats, compression, edit_f05
-from editspan.text import AnnotatedToken, Sentence
+from editspan.text import AnnotatedToken, Sentence, normalize_pos, open_text
 
 
 def reference_char_distance(a: str, b: str) -> int:
@@ -268,3 +270,52 @@ def reference_mix_and_sample(
     chosen.extend(rng.sample(list(open_ended), spec.open_ended_count))
     rng.shuffle(chosen)
     return chosen
+
+
+def reference_sidecar_from_file(
+    path: Union[str, Path],
+) -> dict[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """``SidecarProvider.from_file`` that splits and checks every row, keeps every
+    block, and maps each sentence's surfaces to its ``(lemma, pos)`` rows."""
+    path = Path(path)
+    blocks: list[list[tuple[str, str, str]]] = []
+    current: list[tuple[str, str, str]] = []
+    with open_text(path) as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line = raw.rstrip("\r\n")
+            if not line.strip():
+                if current:
+                    blocks.append(current)
+                    current = []
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(
+                    f"{path}: line {lineno}: expected surface<TAB>lemma<TAB>pos"
+                )
+            surface, lemma, pos = parts
+            if not lemma.strip():
+                raise DataError(f"{path}: line {lineno}: empty lemma")
+            current.append((surface, lemma.strip().lower(), normalize_pos(pos)))
+    if current:
+        blocks.append(current)
+    return {
+        tuple(row[0] for row in block): tuple((row[1], row[2]) for row in block)
+        for block in blocks
+    }
+
+
+def reference_sidecar_annotate(
+    annotations: Mapping[tuple[str, ...], tuple[tuple[str, str], ...]],
+    surfaces: Sequence[str],
+) -> tuple[AnnotatedToken, ...]:
+    """``SidecarProvider.annotate`` over the mapping ``reference_sidecar_from_file`` builds."""
+    if not surfaces:
+        return ()
+    key = tuple(surfaces)
+    rows = annotations.get(key)
+    if rows is None:
+        raise DataError(f"no sidecar annotations for sentence: {' '.join(key)!r}")
+    return tuple(
+        AnnotatedToken(surface, lemma, pos) for surface, (lemma, pos) in zip(key, rows)
+    )

@@ -53,13 +53,6 @@ def test_compression_empty_target_guard():
     assert stat.ratio == 1.0
 
 
-def test_compression_char_variant():
-    stat = compression("4 4 need", tokenize("ab cd"))
-    assert stat.span_chars == len("4 4 need")
-    assert stat.target_chars == len("ab cd")
-    assert stat.char_ratio == len("4 4 need") / len("ab cd")
-
-
 def test_empty_script_serialization_is_minimal():
     target = tokenize("a b c d e")
     empty_ratio = compression(serialize(EditScript((), 5)), target).ratio

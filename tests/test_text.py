@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,11 @@ from editspan.text import (
     read_parallel_tsv,
     tokenize,
 )
-from reference import reference_char_class
+from reference import (
+    reference_char_class,
+    reference_sidecar_annotate,
+    reference_sidecar_from_file,
+)
 
 
 def test_tokenize_splits_on_whitespace_runs():
@@ -164,15 +169,169 @@ def test_sidecar_missing_sentence_is_a_data_error(tmp_path):
     sidecar = tmp_path / "annotations.tsv"
     sidecar.write_text("a\ta\tDET\n", encoding="utf-8")
     provider = SidecarProvider.from_file(sidecar)
-    with pytest.raises(DataError):
-        annotate(tokenize("b"), provider)
+    with pytest.raises(DataError) as excinfo:
+        annotate(tokenize("b c"), provider)
+    assert str(excinfo.value) == "no sidecar annotations for sentence: 'b c'"
+
+
+def _sidecar_error(tmp_path, content: bytes) -> tuple[str, str]:
+    """The message ``from_file`` raises on ``content``, and the file's path."""
+    sidecar = tmp_path / "annotations.tsv"
+    sidecar.write_bytes(content)
+    with pytest.raises(DataError) as excinfo:
+        SidecarProvider.from_file(sidecar)
+    return str(excinfo.value), str(sidecar)
 
 
 def test_sidecar_malformed_row(tmp_path):
+    message, path = _sidecar_error(tmp_path, b"a\ta\tDET\n\nb\tb\n")
+    assert message == f"{path}: line 3: expected surface<TAB>lemma<TAB>pos"
+    message, path = _sidecar_error(tmp_path, b"a\ta\tDET\tx\n")
+    assert message == f"{path}: line 1: expected surface<TAB>lemma<TAB>pos"
+
+
+def test_sidecar_empty_lemma(tmp_path):
+    message, path = _sidecar_error(tmp_path, b"a\ta\tDET\nb\t \tNOUN\n")
+    assert message == f"{path}: line 2: empty lemma"
+
+
+def test_sidecar_malformed_row_after_an_identical_well_formed_one(tmp_path):
+    # a row seen before is not validated again, so near-copies of it must be
+    content = b"a\ta\tDET\n\na\ta\tDET\nb\tb\tNOUN\n\na\ta\tDET\na\ta\n"
+    message, path = _sidecar_error(tmp_path, content)
+    assert message == f"{path}: line 7: expected surface<TAB>lemma<TAB>pos"
+    message, path = _sidecar_error(tmp_path, b"a\ta\tDET\r\na\t\tDET\r\n")
+    assert message == f"{path}: line 2: empty lemma"
+
+
+def test_sidecar_non_utf8_bytes(tmp_path):
+    message, path = _sidecar_error(tmp_path, b"a\ta\tDET\n\n\xff\tb\tNOUN\n")
+    assert message == f"{path}: not valid UTF-8 text (invalid start byte)"
+
+
+def test_sidecar_later_duplicate_sentence_replaces_the_earlier(tmp_path):
     sidecar = tmp_path / "annotations.tsv"
-    sidecar.write_text("a\ta\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        SidecarProvider.from_file(sidecar)
+    sidecar.write_text(
+        "a\ta\tDET\nb\tb\tNOUN\n\nc\tc\tVERB\n\na\tA2\tPRON\nb\tb\tVERB\n",
+        encoding="utf-8",
+    )
+    provider = SidecarProvider.from_file(sidecar)
+    assert provider.annotate(("a", "b")) == (
+        AnnotatedToken("a", "a2", "PRON"), AnnotatedToken("b", "b", "VERB"),
+    )
+    assert provider.annotate(("c",)) == (AnnotatedToken("c", "c", "VERB"),)
+
+
+def test_sidecar_equal_rows_share_one_token(tmp_path):
+    sidecar = tmp_path / "annotations.tsv"
+    sidecar.write_text(
+        "the\tthe\tDET\ncat\tcat\tNOUN\n\nthe\tthe\tDET\ndog\tdog\tNOUN\n",
+        encoding="utf-8",
+    )
+    provider = SidecarProvider.from_file(sidecar)
+    cat = annotate(tokenize("the cat"), provider)
+    dog = annotate(tokenize("the dog"), provider)
+    assert cat[0] == dog[0] == AnnotatedToken("the", "the", "DET")
+    assert cat[0] is dog[0]
+    assert annotate(tokenize("the cat"), provider) is cat
+
+
+def test_sidecar_load_memory_grows_with_distinct_rows_not_tokens(tmp_path):
+    # about 100k tokens over 100 words: stored once per distinct row, the
+    # tokens take a few kB; a tuple per token would take tens of MB
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(100)]
+    rows = {w: f"{w}\t{w.upper()}\t{rng.choice(sorted(POS_TAGS))}\n" for w in words}
+    blocks, tokens = [], 0
+    while tokens < 100_000:
+        sentence = rng.choices(words, k=rng.randint(5, 30))
+        blocks.append("".join(rows[w] for w in sentence))
+        tokens += len(sentence)
+    sidecar = tmp_path / "annotations.tsv"
+    sidecar.write_text("\n".join(blocks), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        provider = SidecarProvider.from_file(sidecar)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(provider.annotations) > 3000
+    assert peak < 5_000_000, f"sidecar load peaked at {peak} bytes"
+
+
+_SIDECAR_WORDS = ("The", "cat", "CATS", "ran", ",", ".", "42", "naïve", "Café", "x")
+# aliases, unknown tags and tags in need of stripping or upper-casing
+_SIDECAR_TAGS = ("NOUN", "verb", " ADJ ", "PROPN", "AUX", "CCONJ", "sconj", "INTJ", "X", "")
+# lines that close a block; the last makes two blank lines
+_SIDECAR_SEPARATORS = ("", "  ", "\t", " \t ", "\n")
+
+
+def _random_sidecar(rng: random.Random) -> bytes:
+    """A sidecar with shared, duplicated and sometimes malformed rows."""
+    pool = [
+        "\t".join((
+            rng.choice(_SIDECAR_WORDS),
+            rng.choice((" ", "")) + rng.choice(_SIDECAR_WORDS) + rng.choice((" ", "  ", "")),
+            rng.choice(_SIDECAR_TAGS),
+        ))
+        for _ in range(rng.randint(1, 12))
+    ]
+    sentences: list[list[str]] = []
+    for _ in range(rng.randint(1, 12)):
+        if sentences and rng.random() < 0.3:
+            # an earlier sentence again, with fresh annotations for its surfaces
+            earlier = rng.choice(sentences)
+            sentences.append([
+                row.split("\t")[0] + "\t" + rng.choice(_SIDECAR_WORDS)
+                + "\t" + rng.choice(_SIDECAR_TAGS)
+                for row in earlier
+            ])
+        else:
+            sentences.append([rng.choice(pool) for _ in range(rng.randint(1, 6))])
+    lines: list[str] = []
+    for rows in sentences:
+        lines.extend(rows)
+        lines.append(rng.choice(_SIDECAR_SEPARATORS))
+    if rng.random() < 0.5:
+        lines.pop()
+    if rng.random() < 0.25:
+        bad = rng.choice(("a\tb", "a\tb\tNOUN\tx", "a\t\tNOUN", "a\t  \tNOUN", "a"))
+        lines.insert(rng.randint(0, len(lines)), bad)
+    newline = rng.choice(("\n", "\r\n"))
+    text = newline.join(lines) + rng.choice((newline, ""))
+    data = text.encode("utf-8")
+    if rng.random() < 0.05:
+        cut = rng.randint(0, len(data))
+        data = data[:cut] + b"\xc3(" + data[cut:]
+    return data
+
+
+def _outcome(load, *args):
+    try:
+        return load(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def test_sidecar_provider_matches_reference_on_random_files(tmp_path):
+    rng = random.Random(17)
+    sidecar = tmp_path / "annotations.tsv"
+    failed = 0
+    for _ in range(400):
+        sidecar.write_bytes(_random_sidecar(rng))
+        expected = _outcome(reference_sidecar_from_file, sidecar)
+        provider = _outcome(SidecarProvider.from_file, sidecar)
+        if isinstance(expected, str):
+            assert provider == expected
+            failed += 1
+            continue
+        assert provider.annotations.keys() == expected.keys()
+        queries = list(expected) + [("unseen", "sentence"), ("The",), ()]
+        for surfaces in queries:
+            assert _outcome(provider.annotate, surfaces) == _outcome(
+                reference_sidecar_annotate, expected, surfaces
+            )
+    assert 50 < failed < 200
 
 
 def test_sidecar_empty_sentence_needs_no_lookup(tmp_path):
