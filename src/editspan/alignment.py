@@ -224,26 +224,18 @@ def sub_cost(
     return cost
 
 
-def align(
+def _fill_band(
     src: Sequence[AnnotatedToken],
     tgt: Sequence[AnnotatedToken],
-    weights: Optional[CostWeights] = None,
-) -> Alignment:
-    """Minimum-cost alignment of two annotated token sequences.
+    w: CostWeights,
+) -> tuple[list[list[Optional[OpKind]]], int, int, float]:
+    """The band fill ``align`` and span extraction share: ``(back, n, lo, total)``.
 
-    An exact banded dynamic program over the tokens before the common
-    suffix, which aligns as MATCH ops: it fills only the diagonals near the
-    length difference, in at most two passes, in O(len(src) * k) time and
-    memory for a band of half-width k (README, "Aligner"). Transposition
-    applies only to adjacent pairs whose surfaces match crosswise. Cost ties
-    are broken by preferring MATCH, then SUB, TRANS, DEL, INS, which makes the
-    result a deterministic function of the inputs and weights.
-
-    Raises:
-        DataError: the band to fill, sized as rows times its widest row, is
-            larger than ``MAX_BAND_CELLS``.
+    ``n`` is the source length before the common surface suffix, ``back[i]``
+    holds the last op of the best path to each cell of row ``i <= n`` from
+    column ``max(0, i + lo)`` (``None`` at the origin), and ``total`` is the
+    alignment's cost.
     """
-    w = weights or DEFAULT_WEIGHTS
     MATCH, SUB, TRANS, DEL, INS = OpKind.MATCH, OpKind.SUB, OpKind.TRANS, OpKind.DEL, OpKind.INS
     s_surf = [a.surface for a in src]
     t_surf = [a.surface for a in tgt]
@@ -254,6 +246,7 @@ def align(
         n -= 1
         m -= 1
     ins_c, del_c, trans_c, floor = w.insert_cost, w.delete_cost, w.transpose_cost, w.sub_floor
+    base, w_lemma, w_pos, w_char = w.base_sub, w.w_lemma, w.w_pos, w.w_char
     inf = math.inf
     d = m - n
     # A path through a cell off band k takes the |d| one-way steps every path
@@ -268,6 +261,7 @@ def align(
     t_ids: dict[AnnotatedToken, int] = {}
     t_col = [t_ids.setdefault(b, len(t_ids)) for b in tgt[:m]]
     t_tokens = list(t_ids)
+    t_len = [len(b.surface) for b in t_tokens]
     sub_costs: dict[AnnotatedToken, dict[int, float]] = {}
 
     k = 1
@@ -288,14 +282,13 @@ def align(
         prev[-lo] = 0.0
         for j in range(1, min(m, hi) + 1):
             prev[j - lo] = prev[j - 1 - lo] + ins_c
-        # back[i] holds the last op of the best path to each cell of row i,
-        # from column max(0, i + lo); None at the origin
         back: list[list[Optional[OpKind]]] = [[None] + [INS] * min(m, hi)]
         prev2 = prev
         sp: Optional[str] = None  # the previous source surface
         for i in range(1, n + 1):
             a = src[i - 1]
-            sa = a.surface
+            sa, la, pa = a.surface, a.lemma, a.pos
+            na = len(sa)
             subs = sub_costs.get(a)
             if subs is None:
                 subs = sub_costs[a] = {}
@@ -329,8 +322,27 @@ def align(
                     else:
                         c = subs.get(tid)
                         if c is None:
-                            c = subs[tid] = sub_cost(a, t_tokens[tid], w)
-                        best = diag + c
+                            # The same test with a tighter lower bound: sub_cost's
+                            # steps with the length difference in place of the
+                            # character distance, which is never smaller. A pair
+                            # it rules out is not cached: another cell may need it.
+                            b = t_tokens[tid]
+                            c = base
+                            if la == b.lemma:
+                                c -= w_lemma
+                            if pa == b.pos:
+                                c -= w_pos
+                            if w_char:
+                                nb = t_len[tid]
+                                c -= w_char * (1.0 - abs(na - nb) / (na if na > nb else nb))
+                            best = diag + c
+                            if best > dl or best > il:
+                                best = inf
+                            else:
+                                c = subs[tid] = sub_cost(a, b, w)
+                                best = diag + c
+                        else:
+                            best = diag + c
                     if sa == tp and sp == tb:
                         c = prev2[t] + trans_c
                         if c < best:
@@ -352,7 +364,7 @@ def align(
         # test for this result is final, as a wider band's result is no larger.
         limit = total + total * _BAND_MARGIN
         if k >= whole or gap + (k + 1) * excursion > limit:
-            break
+            return back, n, lo, total
         if not math.isfinite(limit):
             k = whole
             continue
@@ -360,11 +372,32 @@ def align(
         while k < whole and gap + (k + 1) * excursion <= limit:
             k += 1
 
+
+def align(
+    src: Sequence[AnnotatedToken],
+    tgt: Sequence[AnnotatedToken],
+    weights: Optional[CostWeights] = None,
+) -> Alignment:
+    """Minimum-cost alignment of two annotated token sequences.
+
+    An exact banded dynamic program over the tokens before the common
+    suffix, which aligns as MATCH ops: it fills only the diagonals near the
+    length difference, in at most two passes, in O(len(src) * k) time and
+    memory for a band of half-width k (README, "Aligner"). Transposition
+    applies only to adjacent pairs whose surfaces match crosswise. Cost ties
+    are broken by preferring MATCH, then SUB, TRANS, DEL, INS, which makes the
+    result a deterministic function of the inputs and weights.
+
+    Raises:
+        DataError: the band to fill, sized as rows times its widest row, is
+            larger than ``MAX_BAND_CELLS``.
+    """
+    back, n, lo, total = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
     # walk back from the end of both sentences; past row n lies the suffix
     ops: list[AlignOp] = []
     i, j = len(src), len(tgt)
     while i or j:
-        kind = back[i][j - max(0, i + lo)] if i <= n else MATCH
+        kind = back[i][j - max(0, i + lo)] if i <= n else OpKind.MATCH
         di, dj = _STEP[kind]
         ops.append(AlignOp(kind, i - di, i, j - dj, j))
         i -= di
@@ -418,14 +451,35 @@ def _extract_annotated(
     provider=None,
     weights: Optional[CostWeights] = None,
 ) -> EditScript:
-    """``extract_spans`` for a source that is already annotated."""
-    alignment = align(src_annot, annotate(tgt, provider), weights)
-    tgt_surfaces = tgt.surfaces
-    spans = [
-        EditSpan(op.src_start, op.src_end, tgt_surfaces[op.tgt_start:op.tgt_end])
-        for op in merge_ops(alignment)
-        if op.kind is not OpKind.MATCH
-    ]
+    """``extract_spans`` for a source that is already annotated.
+
+    Walks the table back from the end of the trimmed pair and emits one span
+    per maximal run of non-MATCH steps: the spans ``merge_ops`` would give.
+    """
+    w = weights or DEFAULT_WEIGHTS
+    back, i, lo, _ = _fill_band(src_annot, annotate(tgt, provider), w)
+    MATCH = OpKind.MATCH
+    surfaces = tgt.surfaces
+    j = i + len(surfaces) - len(src_annot)  # the suffix trim takes as many from each side
+    spans: list[EditSpan] = []
+    run_i = -1  # the source end of the current edit run, or -1 outside one
+    while i or j:
+        kind = back[i][j - max(0, i + lo)]
+        if kind is MATCH:
+            if run_i >= 0:
+                spans.append(EditSpan(i, run_i, surfaces[j:run_j]))
+                run_i = -1
+            i -= 1
+            j -= 1
+        else:
+            if run_i < 0:
+                run_i, run_j = i, j
+            di, dj = _STEP[kind]
+            i -= di
+            j -= dj
+    if run_i >= 0:
+        spans.append(EditSpan(0, run_i, surfaces[:run_j]))
+    spans.reverse()
     return EditScript(tuple(spans), len(src_annot))
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from collections import Counter
@@ -64,6 +63,8 @@ def _map_lines(
     """Map a pure function over items, preserving order, optionally in parallel."""
     jobs = _worker_count(jobs)
     if jobs > 1:
+        import multiprocessing  # only here: the import costs every command's start
+
         with multiprocessing.Pool(
             jobs, initializer=_setup_worker, initargs=(provider, weights)
         ) as pool:

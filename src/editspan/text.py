@@ -12,6 +12,7 @@ from __future__ import annotations
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO, Union
 
@@ -117,28 +118,31 @@ class AnnotationProvider(Protocol):
         ...
 
 
+@lru_cache(maxsize=1 << 16)
+def _naive_token(surface: str) -> AnnotatedToken:
+    cc = char_class(surface)
+    if cc == "punctuation":
+        pos = "PUNCT"
+    elif cc == "numeric":
+        pos = "NUM"
+    else:
+        pos = "OTHER"
+    return AnnotatedToken(surface, surface.lower(), pos)
+
+
 @dataclass(frozen=True)
 class NaiveProvider:
     """Heuristic annotation with no external resources.
 
     Lemma is the lowercased surface; POS is PUNCT for punctuation tokens,
-    NUM for numeric ones, and OTHER for everything else.
+    NUM for numeric ones, and OTHER for everything else. Equal surfaces share
+    one ``AnnotatedToken`` while it stays in a bounded cache.
     """
 
     name: str = "naive"
 
     def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
-        out = []
-        for surface in surfaces:
-            cc = char_class(surface)
-            if cc == "punctuation":
-                pos = "PUNCT"
-            elif cc == "numeric":
-                pos = "NUM"
-            else:
-                pos = "OTHER"
-            out.append(AnnotatedToken(surface, surface.lower(), pos))
-        return tuple(out)
+        return tuple(map(_naive_token, surfaces))
 
 
 @dataclass(frozen=True)

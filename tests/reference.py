@@ -3,12 +3,13 @@
 Each function here is the plain, obviously-correct version of something
 ``src/editspan`` now does faster: the full alignment dynamic program with no
 trimming, band or cost cache, the substitution cost through a similarity helper
-and ``char_levenshtein``, the merge of edit runs through a run buffer, the
-two-row character Levenshtein, the per-character ``char_class``, the
-comma-by-comma fragment split,
-``pair_stats`` that annotates every sentence and aligns twice, the
-dataset mix that samples the record lists themselves, and the sidecar loader
-that keeps every row and builds a fresh token tuple on each lookup. Tests require the
+and ``char_levenshtein``, the merge of edit runs through a run buffer, span
+extraction through per-token ops and ``merge_ops``, the two-row character
+Levenshtein, the per-character ``char_class``, the naive provider that builds a
+fresh token for every surface, the comma-by-comma fragment split,
+``pair_stats`` that annotates every sentence and aligns twice, the dataset mix
+that samples the record lists themselves, and the sidecar loader that keeps
+every row and builds a fresh token tuple on each lookup. Tests require the
 library to give identical results.
 """
 
@@ -26,15 +27,24 @@ from editspan.alignment import (
     CostWeights,
     DEFAULT_WEIGHTS,
     OpKind,
+    align,
     canonicalize,
     char_levenshtein,
     extract_spans,
+    merge_ops,
 )
-from editspan.codec import parse
+from editspan.codec import EditScript, EditSpan, parse
 from editspan.dataset import DatasetRecord, MixSpec
 from editspan.errors import DataError
 from editspan.metrics import PairStats, compression, edit_f05
-from editspan.text import AnnotatedToken, Sentence, normalize_pos, open_text
+from editspan.text import (
+    AnnotatedToken,
+    Sentence,
+    annotate,
+    char_class,
+    normalize_pos,
+    open_text,
+)
 
 
 def reference_char_distance(a: str, b: str) -> int:
@@ -63,6 +73,21 @@ def reference_char_class(surface: str) -> str:
     if all(unicodedata.category(c).startswith("P") for c in surface):
         return "punctuation"
     return "mixed"
+
+
+def reference_naive_annotate(surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
+    """``NaiveProvider.annotate`` classifying and building a token for every surface."""
+    out = []
+    for surface in surfaces:
+        cc = char_class(surface)
+        if cc == "punctuation":
+            pos = "PUNCT"
+        elif cc == "numeric":
+            pos = "NUM"
+        else:
+            pos = "OTHER"
+        out.append(AnnotatedToken(surface, surface.lower(), pos))
+    return tuple(out)
 
 
 def reference_discounted_sub(
@@ -224,6 +249,21 @@ def reference_merge_ops(alignment: Alignment) -> tuple[AlignOp, ...]:
             run.append(op)
     flush()
     return tuple(merged)
+
+
+def reference_extract_spans(
+    src: Sentence,
+    tgt: Sentence,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+) -> EditScript:
+    """``extract_spans`` through ``align``'s per-token ops and ``merge_ops``."""
+    alignment = align(annotate(src, provider), annotate(tgt, provider), weights)
+    return EditScript(tuple(
+        EditSpan(op.src_start, op.src_end, tgt.surfaces[op.tgt_start:op.tgt_end])
+        for op in merge_ops(alignment)
+        if op.kind is not OpKind.MATCH
+    ), len(src))
 
 
 def reference_pair_stats(

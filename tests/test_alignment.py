@@ -39,8 +39,13 @@ from editspan.alignment import (
 )
 from editspan.codec import EditSpan, apply_edits
 from editspan.errors import ConfigError, DataError
-from editspan.text import AnnotatedToken, NaiveProvider, annotate, tokenize
-from reference import reference_align, reference_char_distance, reference_merge_ops
+from editspan.text import AnnotatedToken, NaiveProvider, SidecarProvider, annotate, tokenize
+from reference import (
+    reference_align,
+    reference_char_distance,
+    reference_extract_spans,
+    reference_merge_ops,
+)
 
 
 def _annotated(text: str):
@@ -347,6 +352,14 @@ INSERT_HEAVY = CostWeights(insert_cost=1.7, delete_cost=0.6, transpose_cost=0.9,
 DELETE_HEAVY = CostWeights(
     w_char=1.0, insert_cost=0.4, delete_cost=2.2, transpose_cost=0.05, sub_floor=0.3,
 )
+# no character discount, so the SUB lower bound is the cost itself; lemma and
+# POS discounts that together reach below the floor; the floor at the base
+# cost, so every SUB of different surfaces costs the same; and a transposition
+# cheaper than the floor
+NO_CHAR = CostWeights(w_char=0.0)
+HEAVY_LEMMA_POS = CostWeights(w_lemma=1.3, w_pos=0.9)
+FLOOR_AT_BASE = CostWeights(sub_floor=2.0)
+CHEAP_TRANSPOSE = CostWeights(transpose_cost=0.3, sub_floor=0.5)
 
 
 @pytest.mark.parametrize(
@@ -362,11 +375,14 @@ DELETE_HEAVY = CostWeights(
         (8, 1_500, VOCAB, 40, 0, True, INSERT_HEAVY, "gap"),
         (9, 600, VOCAB + tuple(f"w{i}" for i in range(40)), 40, 0, False, None, "disjoint"),
         (10, 5_000, ("a", "b", "c"), 12, 4, True, DELETE_HEAVY, "edited"),
+        (11, 5_000, ("cat", "cats", "act", "Cat", "."), 12, 4, True, NO_CHAR, "edited"),
+        (12, 5_000, ("cat", "cats", "act", "Cat", "."), 12, 4, True, HEAVY_LEMMA_POS, "edited"),
+        (13, 5_000, ("cat", "cats", "act", "Cat", "."), 12, 4, True, FLOOR_AT_BASE, "edited"),
     ],
     ids=[
         "two-words", "five-words", "varied-annotations", "custom-weights", "up-to-40",
         "front-edits-insert-heavy", "front-edits-delete-heavy", "length-gap", "disjoint",
-        "cheap-transpose",
+        "cheap-transpose", "no-char-weight", "heavy-lemma-pos", "floor-at-base",
     ],
 )
 def test_align_matches_reference_dp(
@@ -469,6 +485,65 @@ def test_merge_preserves_matches_and_tiling():
         # maximality: merged edits never sit next to each other
         for a, b in zip(merged, merged[1:]):
             assert a.kind is OpKind.MATCH or b.kind is OpKind.MATCH
+
+
+def _extraction_pairs(rng: random.Random, count: int):
+    """Sentence pairs over tie-heavy vocabularies of two to four words, in the
+    shapes the span walk handles apart: identical, one side empty, edits only
+    at the start or only at the end, crosswise swaps, and random edits."""
+    vocabs = (("a", "b"), ("a", "b", "ab"), ("the", "then", "he", "."),
+              ("cat", "cats", "Cat", "act"))
+    for _ in range(count):
+        vocab = rng.choice(vocabs)
+        src = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+        fresh = [rng.choice(vocab) for _ in range(rng.randint(0, 3))]
+        cut = rng.randint(0, min(3, len(src)))
+        shape = rng.randrange(6)
+        if shape == 0:
+            tgt = list(src)
+        elif shape == 1:
+            tgt = []
+        elif shape == 2:
+            tgt = fresh + src[cut:]
+        elif shape == 3:
+            tgt = src[:len(src) - cut] + fresh
+        elif shape == 4:
+            tgt = list(src)
+            for _ in range(rng.randint(1, 3)):
+                if len(tgt) > 1:
+                    i = rng.randrange(len(tgt) - 1)
+                    tgt[i], tgt[i + 1] = tgt[i + 1], tgt[i]
+        else:
+            tgt = _edited(rng, src, vocab, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            src, tgt = tgt, src
+        yield tokenize(" ".join(src)), tokenize(" ".join(tgt))
+
+
+@pytest.mark.parametrize("provider", ["naive", "sidecar"])
+@pytest.mark.parametrize(
+    ("seed", "weights"),
+    [(1, None), (2, NO_CHAR), (3, HEAVY_LEMMA_POS), (4, FLOOR_AT_BASE), (5, CHEAP_TRANSPOSE)],
+    ids=["default", "no-char-weight", "heavy-lemma-pos", "floor-at-base", "cheap-transpose"],
+)
+def test_extract_spans_matches_merged_alignment(seed, weights, provider):
+    rng = random.Random(seed)
+    pairs = list(_extraction_pairs(rng, 4_000))
+    if provider == "sidecar":
+        # lemmas and tags drawn per sentence, so equal surfaces need not agree
+        provider = SidecarProvider({
+            sentence.surfaces: tuple(
+                AnnotatedToken(s, rng.choice(("x", "y", s.lower())), rng.choice(("NOUN", "VERB")))
+                for s in sentence.surfaces
+            )
+            for pair in pairs for sentence in pair
+        })
+    mismatches = [
+        (src, tgt) for src, tgt in pairs
+        if extract_spans(src, tgt, provider, weights)
+        != reference_extract_spans(src, tgt, provider, weights)
+    ]
+    assert mismatches == []
 
 
 def test_extract_insert_replace_delete_reference_pair():

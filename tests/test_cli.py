@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +127,25 @@ def test_flags_belong_to_their_commands(pairs_file, tmp_path, capsys):
     annotations = _write(tmp_path / "annotations.tsv", "a\ta\tDET\n")
     assert main(["extract", pairs_file, "--annotations", annotations]) == 1
     assert "naive provider takes no annotations file" in capsys.readouterr().err
+
+
+def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
+    # the import costs every command's start, so a serial run goes without it
+    code = (
+        "import sys\n"
+        "import editspan.cli\n"
+        "assert 'multiprocessing' not in sys.modules, 'on import'\n"
+        f"assert editspan.cli.main(['extract', {pairs_file!r}, '--jobs', '1']) == 0\n"
+        "assert 'multiprocessing' not in sys.modules, 'after --jobs 1'\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [SCHOLARS_SPANS, CASH_SPANS]
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -499,14 +520,15 @@ def test_build_dataset_matches_the_align_everything_pipeline(
 
 
 def test_build_dataset_aligns_only_the_sampled_lines(tmp_path, monkeypatch, capsys):
+    # extraction and ``align`` share one band fill; count that
     calls = []
-    real_align = alignment.align
+    real_fill = alignment._fill_band
 
-    def counting_align(*args):
+    def counting_fill(*args):
         calls.append(args)
-        return real_align(*args)
+        return real_fill(*args)
 
-    monkeypatch.setattr(alignment, "align", counting_align)
+    monkeypatch.setattr(alignment, "_fill_band", counting_fill)
     paths, args = _large_corpora(tmp_path, seed=5, valid_lines=30)
     args += ["--per-task", "4", "--open-count", "2", "-o", str(tmp_path / "mix.jsonl")]
     assert main(args) == 0

@@ -26,6 +26,7 @@ from editspan.text import (
 )
 from reference import (
     reference_char_class,
+    reference_naive_annotate,
     reference_sidecar_annotate,
     reference_sidecar_from_file,
 )
@@ -103,6 +104,30 @@ def test_naive_provider_fields():
     assert [char_class(a.surface) for a in annotated] == [
         "alphabetic", "punctuation", "numeric", "mixed",
     ]
+
+
+def test_naive_provider_matches_reference():
+    provider = NaiveProvider()
+    code_points = [*range(0x10000), *range(0x10000, sys.maxunicode + 1, 16)]
+    surfaces = [chr(cp) for cp in code_points]
+    assert provider.annotate(surfaces) == reference_naive_annotate(surfaces)
+    pool = "aZéß漢ーँ́09٣²①Ⅷ½.,-…¿「$+©İΣ\U0001F600\U00010348\U0001D7D8"
+    rng = random.Random(4)
+    surfaces = [
+        "".join(rng.choice(pool) for _ in range(rng.randint(1, 6))) for _ in range(20_000)
+    ]
+    # twice: the second pass reads the shared tokens
+    for _ in range(2):
+        assert provider.annotate(surfaces) == reference_naive_annotate(surfaces)
+    assert provider.annotate([]) == ()
+
+
+def test_naive_provider_shares_one_token_per_surface():
+    first = NaiveProvider().annotate(["Cat", "sat", "Cat", "42", ","])
+    again = NaiveProvider().annotate(["42", "Cat", ","])
+    assert first[0] is first[2] is again[1]
+    assert first[3] is again[0] and first[4] is again[2]
+    assert first[0] == AnnotatedToken("Cat", "cat", "OTHER")
 
 
 def test_annotate_preserves_tokens():
