@@ -15,7 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from editspan.codec import EditScript, EditSpan, apply_edits
 from editspan.errors import ConfigError, DataError
@@ -203,20 +203,35 @@ def sub_cost(
 
     Zero for identical surfaces; otherwise the discounted, clamped base cost.
     """
-    w = weights or DEFAULT_WEIGHTS
-    sa, sb = a.surface, b.surface
-    if sa == sb:
+    if a.surface == b.surface:
         return 0.0
+    return _price_sub(a, b, weights or DEFAULT_WEIGHTS, 0.0, math.inf)
+
+
+def _price_sub(
+    a: AnnotatedToken, b: AnnotatedToken, w: CostWeights, diag: float, cap: float
+) -> Optional[float]:
+    """``sub_cost`` of two different surfaces, or ``None`` if ``diag`` plus it exceeds ``cap``.
+
+    Before the character distance, the same steps run with the surface length
+    difference in its place, which is never larger: ``diag`` plus that lower
+    bound exceeding ``cap`` rules SUB out without the distance (README, "Aligner").
+    """
     base = cost = w.base_sub
     if a.lemma == b.lemma:
         cost -= w.w_lemma
     if a.pos == b.pos:
         cost -= w.w_pos
-    if w.w_char:
-        # the distance is symmetric; order the arguments as char_levenshtein
-        # does, so both share cache entries
-        dist = _char_distance_cached(sb, sa) if sa > sb else _char_distance_cached(sa, sb)
-        cost -= w.w_char * (1.0 - dist / max(len(sa), len(sb)))
+    w_char = w.w_char
+    if w_char:
+        sa, sb = a.surface, b.surface
+        na, nb = len(sa), len(sb)
+        longest = na if na > nb else nb
+        if diag + (cost - w_char * (1.0 - abs(na - nb) / longest)) > cap:
+            return None
+        cost -= w_char * (1.0 - char_levenshtein(sa, sb) / longest)
+    elif diag + cost > cap:
+        return None
     if cost < w.sub_floor:
         return w.sub_floor
     if cost > base:
@@ -246,7 +261,6 @@ def _fill_band(
         n -= 1
         m -= 1
     ins_c, del_c, trans_c, floor = w.insert_cost, w.delete_cost, w.transpose_cost, w.sub_floor
-    base, w_lemma, w_pos, w_char = w.base_sub, w.w_lemma, w.w_pos, w.w_char
     inf = math.inf
     d = m - n
     # A path through a cell off band k takes the |d| one-way steps every path
@@ -255,14 +269,6 @@ def _fill_band(
     gap = d * ins_c if d >= 0 else -d * del_c
     excursion = ins_c + del_c
     whole = min(n, m)
-
-    # substitution costs, computed the first time an in-band cell needs them:
-    # source token -> {target token id: cost}
-    t_ids: dict[AnnotatedToken, int] = {}
-    t_col = [t_ids.setdefault(b, len(t_ids)) for b in tgt[:m]]
-    t_tokens = list(t_ids)
-    t_len = [len(b.surface) for b in t_tokens]
-    sub_costs: dict[AnnotatedToken, dict[int, float]] = {}
 
     k = 1
     while True:
@@ -287,11 +293,7 @@ def _fill_band(
         sp: Optional[str] = None  # the previous source surface
         for i in range(1, n + 1):
             a = src[i - 1]
-            sa, la, pa = a.surface, a.lemma, a.pos
-            na = len(sa)
-            subs = sub_costs.get(a)
-            if subs is None:
-                subs = sub_costs[a] = {}
+            sa = a.surface
             off = i + lo  # column of index 0 in this row
             row = [inf] * width
             if off <= 0:
@@ -304,8 +306,8 @@ def _fill_band(
                 first = off
             last = min(m, i + hi)
             tp = t_surf[first - 2] if first > 1 else None  # the previous target surface
-            for t, tb, tid in zip(
-                range(first - off, last - off + 1), t_surf[first - 1:last], t_col[first - 1:last]
+            for t, b, tb in zip(
+                range(first - off, last - off + 1), tgt[first - 1:last], t_surf[first - 1:last]
             ):
                 diag = prev[t]
                 dl = prev[t + 1] + del_c
@@ -320,29 +322,8 @@ def _fill_band(
                     if best > dl or best > il:
                         best = inf
                     else:
-                        c = subs.get(tid)
-                        if c is None:
-                            # The same test with a tighter lower bound: sub_cost's
-                            # steps with the length difference in place of the
-                            # character distance, which is never smaller. A pair
-                            # it rules out is not cached: another cell may need it.
-                            b = t_tokens[tid]
-                            c = base
-                            if la == b.lemma:
-                                c -= w_lemma
-                            if pa == b.pos:
-                                c -= w_pos
-                            if w_char:
-                                nb = t_len[tid]
-                                c -= w_char * (1.0 - abs(na - nb) / (na if na > nb else nb))
-                            best = diag + c
-                            if best > dl or best > il:
-                                best = inf
-                            else:
-                                c = subs[tid] = sub_cost(a, b, w)
-                                best = diag + c
-                        else:
-                            best = diag + c
+                        c = _price_sub(a, b, w, diag, dl if dl < il else il)
+                        best = inf if c is None else diag + c
                     if sa == tp and sp == tb:
                         c = prev2[t] + trans_c
                         if c < best:
@@ -373,6 +354,22 @@ def _fill_band(
             k += 1
 
 
+def _walk(
+    back: list[list[Optional[OpKind]]], n: int, lo: int, i: int, j: int
+) -> Iterator[tuple[OpKind, int, int]]:
+    """Walk ``_fill_band``'s table back from cell ``(i, j)`` to the origin.
+
+    Yields ``(kind, i, j)`` for each step: the last op of the best path to
+    cell ``(i, j)``. Rows past ``n`` are the common suffix, all MATCH.
+    """
+    while i or j:
+        kind = back[i][j - max(0, i + lo)] if i <= n else OpKind.MATCH
+        yield kind, i, j
+        di, dj = _STEP[kind]
+        i -= di
+        j -= dj
+
+
 def align(
     src: Sequence[AnnotatedToken],
     tgt: Sequence[AnnotatedToken],
@@ -393,15 +390,10 @@ def align(
             larger than ``MAX_BAND_CELLS``.
     """
     back, n, lo, total = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
-    # walk back from the end of both sentences; past row n lies the suffix
     ops: list[AlignOp] = []
-    i, j = len(src), len(tgt)
-    while i or j:
-        kind = back[i][j - max(0, i + lo)] if i <= n else OpKind.MATCH
+    for kind, i, j in _walk(back, n, lo, len(src), len(tgt)):
         di, dj = _STEP[kind]
         ops.append(AlignOp(kind, i - di, i, j - dj, j))
-        i -= di
-        j -= dj
     ops.reverse()
     return Alignment(tuple(ops), total)
 
@@ -457,26 +449,19 @@ def _extract_annotated(
     per maximal run of non-MATCH steps: the spans ``merge_ops`` would give.
     """
     w = weights or DEFAULT_WEIGHTS
-    back, i, lo, _ = _fill_band(src_annot, annotate(tgt, provider), w)
+    back, n, lo, _ = _fill_band(src_annot, annotate(tgt, provider), w)
     MATCH = OpKind.MATCH
     surfaces = tgt.surfaces
-    j = i + len(surfaces) - len(src_annot)  # the suffix trim takes as many from each side
+    m = n + len(surfaces) - len(src_annot)  # the suffix trim takes as many from each side
     spans: list[EditSpan] = []
     run_i = -1  # the source end of the current edit run, or -1 outside one
-    while i or j:
-        kind = back[i][j - max(0, i + lo)]
+    for kind, i, j in _walk(back, n, lo, n, m):
         if kind is MATCH:
             if run_i >= 0:
                 spans.append(EditSpan(i, run_i, surfaces[j:run_j]))
                 run_i = -1
-            i -= 1
-            j -= 1
-        else:
-            if run_i < 0:
-                run_i, run_j = i, j
-            di, dj = _STEP[kind]
-            i -= di
-            j -= dj
+        elif run_i < 0:
+            run_i, run_j = i, j
     if run_i >= 0:
         spans.append(EditSpan(0, run_i, surfaces[:run_j]))
     spans.reverse()

@@ -326,10 +326,11 @@ def _build_parser() -> _Parser:
         "build-dataset", parents=[common],
         help="build the mixed instruction dataset as JSON Lines",
     )
-    p.add_argument("--gec", required=True, metavar="TSV", help="grammar correction pairs")
-    p.add_argument("--paraphrase", required=True, metavar="TSV", help="paraphrase pairs")
-    p.add_argument("--style", required=True, metavar="TSV", help="formality transfer pairs")
-    p.add_argument("--simplify", required=True, metavar="TSV", help="simplification pairs")
+    for task, instruction in TASK_INSTRUCTIONS.items():
+        p.add_argument(
+            f"--{task}", required=True, metavar="TSV",
+            help=f"source<TAB>target pairs for the instruction {instruction!r}",
+        )
     p.add_argument(
         "--open-ended", required=True, metavar="JSONL",
         help="pre-existing open-ended instruction records",

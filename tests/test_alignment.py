@@ -30,6 +30,7 @@ from editspan.alignment import (
     CostWeights,
     OpKind,
     _char_distance_cached,
+    _price_sub,
     align,
     char_levenshtein,
     extract_spans,
@@ -43,6 +44,7 @@ from editspan.text import AnnotatedToken, NaiveProvider, SidecarProvider, annota
 from reference import (
     reference_align,
     reference_char_distance,
+    reference_discounted_sub,
     reference_extract_spans,
     reference_merge_ops,
 )
@@ -137,6 +139,47 @@ def test_sub_cost_bounds(sa, sb):
     assert 0.0 <= cost <= weights.insert_cost + weights.delete_cost
     if sa != sb:
         assert cost >= weights.sub_floor
+
+
+PRICE_WEIGHTS = (
+    CostWeights(),
+    CostWeights(w_char=0.0),
+    CostWeights(sub_floor=2.0),
+    CostWeights(w_lemma=1.3, w_pos=0.9),
+)
+
+
+def test_price_sub_is_sub_cost_or_none_only_past_the_cap():
+    rng = random.Random(31)
+    checked = ruled_out = 0
+    for _ in range(400):
+        # a tie-heavy vocabulary: 2 to 4 words of 1 to 12 characters over 3 letters
+        vocab = list({
+            "".join(rng.choice("abc") for _ in range(rng.randint(1, 12)))
+            for _ in range(rng.randint(2, 4))
+        })
+        if len(vocab) < 2:
+            continue
+        for _ in range(50):
+            sa, sb = rng.sample(vocab, 2)
+            a = AnnotatedToken(sa, rng.choice("xy"), rng.choice(("NOUN", "VERB")))
+            b = AnnotatedToken(sb, rng.choice("xy"), rng.choice(("NOUN", "VERB")))
+            w = rng.choice(PRICE_WEIGHTS)
+            cost = sub_cost(a, b, w)
+            assert cost == reference_discounted_sub(sa, sb, a.lemma == b.lemma, a.pos == b.pos, w)
+            diag = rng.uniform(-10.0, 10.0)
+            # a cap near the SUB candidate, at it, or anywhere
+            cap = rng.choice((
+                diag + cost + rng.uniform(-0.3, 0.3), diag + cost, rng.uniform(-10.0, 10.0),
+            ))
+            got = _price_sub(a, b, w, diag, cap)
+            if got is None:
+                assert diag + cost > cap, (a, b, w, diag, cap)
+                ruled_out += 1
+            else:
+                assert got == cost, (a, b, w, diag, cap)
+            checked += 1
+    assert checked > 10_000 and 0 < ruled_out < checked
 
 
 def test_cost_weights_validation():
@@ -440,6 +483,24 @@ def test_align_memory_grows_with_the_band_not_the_table():
         tracemalloc.stop()
     # an n x m table of backpointers alone takes 8 bytes a cell
     assert peak < 801 * 801 * 8 / 10
+
+
+def test_extract_keeps_no_cost_table_on_unrelated_pairs():
+    # no token in common, so the band is the whole 201 x 201 table: its
+    # backpointer rows take about 0.35 MB, and a stored cost per token pair
+    # would add several times that
+    rng = random.Random(7)
+    src = tokenize(" ".join(f"s{rng.randrange(1000)}" for _ in range(200)))
+    tgt = tokenize(" ".join(f"t{rng.randrange(1000)}" for _ in range(200)))
+    weights = CostWeights(w_char=0.0)
+    script = extract_spans(src, tgt, weights=weights)  # fill the annotation cache first
+    tracemalloc.start()
+    try:
+        assert extract_spans(src, tgt, weights=weights) == script
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_merge_coalesces_sub_plus_ins():
