@@ -2,9 +2,9 @@
 
 A Damerau-Levenshtein dynamic program over annotated tokens, with the
 adjacent-transposition extension and a substitution cost discounted by
-lemma agreement, POS agreement, and character-level similarity. Runs of
-consecutive non-match operations merge into single multi-token edits, which
-convert directly to edit spans over source gap positions.
+lemma agreement, POS agreement, and character-level similarity. Extraction
+walks the table's best path back from its end, and each maximal run of
+non-match steps on that path becomes one edit span over source gap positions.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class CostWeights:
     """Alignment cost model.
 
     The base substitution cost is ``insert_cost + delete_cost``; lemma, POS,
-    and character-similarity agreement each subtract their weight from it,
-    and the result is clamped to ``[sub_floor, base_sub]``. Substituting one
+    and character-similarity agreement each subtract a non-negative discount
+    from it, and a result below ``sub_floor`` is raised to it. Substituting one
     token is therefore never dearer than deleting and inserting, and never
     free unless the surfaces are identical.
     """
@@ -217,25 +217,23 @@ def _price_sub(
     difference in its place, which is never larger: ``diag`` plus that lower
     bound exceeding ``cap`` rules SUB out without the distance (README, "Aligner").
     """
-    base = cost = w.base_sub
+    cost = w.base_sub
     if a.lemma == b.lemma:
         cost -= w.w_lemma
     if a.pos == b.pos:
         cost -= w.w_pos
     w_char = w.w_char
-    if w_char:
-        sa, sb = a.surface, b.surface
-        na, nb = len(sa), len(sb)
-        longest = na if na > nb else nb
-        if diag + (cost - w_char * (1.0 - abs(na - nb) / longest)) > cap:
-            return None
-        cost -= w_char * (1.0 - char_levenshtein(sa, sb) / longest)
-    elif diag + cost > cap:
+    sa, sb = a.surface, b.surface
+    na, nb = len(sa), len(sb)
+    longest = na if na > nb else nb
+    # with w_char == 0 the subtracted term is exactly 0.0
+    if diag + (cost - w_char * (1.0 - abs(na - nb) / longest)) > cap:
         return None
+    if w_char:
+        cost -= w_char * (1.0 - char_levenshtein(sa, sb) / longest)
+    # every discount is non-negative, so only the floor can bind
     if cost < w.sub_floor:
         return w.sub_floor
-    if cost > base:
-        return base
     return cost
 
 
@@ -243,21 +241,20 @@ def _fill_band(
     src: Sequence[AnnotatedToken],
     tgt: Sequence[AnnotatedToken],
     w: CostWeights,
-) -> tuple[list[list[Optional[OpKind]]], int, int, float]:
-    """The band fill ``align`` and span extraction share: ``(back, n, lo, total)``.
+) -> tuple[list[list[Optional[OpKind]]], int, int, int, float]:
+    """The band fill ``align`` and span extraction share: ``(back, n, m, lo, total)``.
 
-    ``n`` is the source length before the common surface suffix, ``back[i]``
-    holds the last op of the best path to each cell of row ``i <= n`` from
-    column ``max(0, i + lo)`` (``None`` at the origin), and ``total`` is the
-    alignment's cost.
+    ``n`` and ``m`` are the source and target lengths before the common
+    surface suffix, ``back[i]`` holds the last op of the best path to each
+    cell of row ``i <= n`` from column ``max(0, i + lo)`` (``None`` at the
+    origin), and ``total`` is the alignment's cost.
     """
     MATCH, SUB, TRANS, DEL, INS = OpKind.MATCH, OpKind.SUB, OpKind.TRANS, OpKind.DEL, OpKind.INS
-    s_surf = [a.surface for a in src]
     t_surf = [a.surface for a in tgt]
     # The common surface suffix always aligns as MATCH ops (README, "Aligner"),
     # so the table covers only what precedes it. A prefix trim is not exact.
     n, m = len(src), len(tgt)
-    while n and m and s_surf[n - 1] == t_surf[m - 1]:
+    while n and m and src[n - 1].surface == t_surf[m - 1]:
         n -= 1
         m -= 1
     ins_c, del_c, trans_c, floor = w.insert_cost, w.delete_cost, w.transpose_cost, w.sub_floor
@@ -345,11 +342,7 @@ def _fill_band(
         # test for this result is final, as a wider band's result is no larger.
         limit = total + total * _BAND_MARGIN
         if k >= whole or gap + (k + 1) * excursion > limit:
-            return back, n, lo, total
-        if not math.isfinite(limit):
-            k = whole
-            continue
-        k = max(k + 1, min(whole, int((limit - gap) / excursion)))
+            return back, n, m, lo, total
         while k < whole and gap + (k + 1) * excursion <= limit:
             k += 1
 
@@ -389,7 +382,7 @@ def align(
         DataError: the band to fill, sized as rows times its widest row, is
             larger than ``MAX_BAND_CELLS``.
     """
-    back, n, lo, total = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
+    back, n, _, lo, total = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
     ops: list[AlignOp] = []
     for kind, i, j in _walk(back, n, lo, len(src), len(tgt)):
         di, dj = _STEP[kind]
@@ -430,9 +423,10 @@ def extract_spans(
 ) -> EditScript:
     """Extract the edit script turning ``src`` into ``tgt``.
 
-    Aligns the annotated sentences, merges edit runs, and converts each
-    merged non-MATCH op to a span over source gap positions. Applying the
-    result to ``src`` reproduces ``tgt`` exactly.
+    Aligns the annotated sentences and walks the best path back from its
+    end; each maximal run of non-MATCH steps on it becomes one span over
+    source gap positions. Applying the result to ``src`` reproduces ``tgt``
+    exactly.
     """
     return _extract_annotated(annotate(src, provider), tgt, provider, weights)
 
@@ -449,10 +443,9 @@ def _extract_annotated(
     per maximal run of non-MATCH steps: the spans ``merge_ops`` would give.
     """
     w = weights or DEFAULT_WEIGHTS
-    back, n, lo, _ = _fill_band(src_annot, annotate(tgt, provider), w)
+    back, n, m, lo, _ = _fill_band(src_annot, annotate(tgt, provider), w)
     MATCH = OpKind.MATCH
     surfaces = tgt.surfaces
-    m = n + len(surfaces) - len(src_annot)  # the suffix trim takes as many from each side
     spans: list[EditSpan] = []
     run_i = -1  # the source end of the current edit run, or -1 outside one
     for kind, i, j in _walk(back, n, lo, n, m):

@@ -31,7 +31,7 @@ from editspan.dataset import (
 )
 from editspan.errors import ConfigError, DataError
 from editspan.metrics import PairStats, pair_stats, reduce_stats
-from editspan.text import detokenize, make_provider, open_text, tokenize
+from editspan.text import AnnotationProvider, detokenize, make_provider, open_text, tokenize
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -147,18 +147,15 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
             yield handle
 
 
-def _load_provider(args: argparse.Namespace):
-    return make_provider(args.provider, args.annotations)
-
-
-def _load_weights(args: argparse.Namespace) -> CostWeights:
-    if args.weights:
-        return CostWeights.from_file(args.weights)
-    return CostWeights()
+def _load_settings(args: argparse.Namespace) -> tuple[AnnotationProvider, CostWeights]:
+    """The provider and weights the flags name; a bad provider is reported first."""
+    provider = make_provider(args.provider, args.annotations)
+    weights = CostWeights.from_file(args.weights) if args.weights else CostWeights()
+    return provider, weights
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    provider, weights = _load_provider(args), _load_weights(args)
+    provider, weights = _load_settings(args)
     with _output(args.output) as out:
         numbered = enumerate(_iter_lines(args.pairs), 1)
         for span_line in _map_lines(_extract_one, numbered, args.jobs, provider, weights):
@@ -183,7 +180,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    provider, weights = _load_provider(args), _load_weights(args)
+    provider, weights = _load_settings(args)
     rows = _read_rows(
         {"sources": args.sources, "spans": args.spans, "targets": args.targets}
     )
@@ -197,7 +194,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    provider, weights = _load_provider(args), _load_weights(args)
+    provider, weights = _load_settings(args)
     failures = 0
     total = 0
     numbered = enumerate(_iter_lines(args.pairs), 1)
@@ -211,7 +208,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
-    provider, weights = _load_provider(args), _load_weights(args)
+    provider, weights = _load_settings(args)
     overrides = {}
     if args.instructions:
         overrides = read_kv_config(args.instructions)
@@ -378,12 +375,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"editspan: error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"editspan: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, DataError) else 1
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Optional
 
 from editspan.errors import DataError
-from editspan.text import Sentence
+from editspan.text import Sentence, _are_tokens
 
 NONE_SENTINEL = "None"
 
@@ -50,11 +50,11 @@ class EditSpan:
             raise ValueError(f"span end {self.end} precedes start {self.start}")
         if self.start == self.end and not self.replacement:
             raise ValueError("a span must insert, delete, or replace something")
-        for token in self.replacement:
-            if not token or any(c.isspace() for c in token):
-                raise ValueError(
-                    f"replacement tokens must be non-empty with no whitespace: {token!r}"
-                )
+        if not _are_tokens(self.replacement):
+            raise ValueError(
+                "replacement tokens must be non-empty with no whitespace: "
+                f"{self.replacement!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,11 @@ class AnnotatedToken(NamedTuple):
     pos: str
 
 
+def _are_tokens(surfaces: tuple[str, ...]) -> bool:
+    """Whether every surface is non-empty and free of whitespace (as ``str.split`` sees it)."""
+    return tuple(" ".join(surfaces).split()) == surfaces
+
+
 @dataclass(frozen=True)
 class Sentence:
     """An immutable tokenized sentence: its token surfaces in order.
@@ -89,7 +94,7 @@ class Sentence:
     surfaces: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if tuple(" ".join(self.surfaces).split()) != self.surfaces:
+        if not _are_tokens(self.surfaces):
             raise ValueError(
                 "sentence surfaces must be a tuple of non-empty tokens with no "
                 f"whitespace: {self.surfaces!r}"

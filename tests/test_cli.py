@@ -279,6 +279,23 @@ def test_score_text_report(tmp_path, capsys):
     assert any(line.startswith("f05: ") for line in lines)
 
 
+def test_score_sidecar_without_the_hypothesis_output_is_a_data_error(tmp_path, capsys):
+    # the sidecar holds the source and the target, but not "a x c", the
+    # sentence the hypothesis spans make, which scoring has to annotate
+    sources = _write(tmp_path / "src.txt", "a b c\n")
+    spans = _write(tmp_path / "spans.txt", "1 2 x\n")
+    targets = _write(tmp_path / "tgt.txt", "a d c\n")
+    sidecar = _write(
+        tmp_path / "annotations.tsv",
+        "a\ta\tDET\nb\tb\tNOUN\nc\tc\tNOUN\n\na\ta\tDET\nd\td\tNOUN\nc\tc\tNOUN\n",
+    )
+    argv = ["score", sources, spans, targets, "--provider", "sidecar", "--annotations", sidecar]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "no sidecar annotations for sentence: 'a x c'" in out.err
+
+
 def test_score_line_count_mismatch(tmp_path, capsys):
     sources = _write(tmp_path / "src.txt", "a\n")
     spans = _write(tmp_path / "spans.txt", "None\n")
