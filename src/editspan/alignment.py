@@ -101,11 +101,11 @@ class CostWeights:
 
 
 def read_kv_config(path: Union[str, Path]) -> dict[str, str]:
-    """Read a flat UTF-8 config of ``key = value`` lines; ``#`` comments allowed."""
+    """Read a flat UTF-8 config of ``key = value`` lines; ``#`` comments and a BOM allowed."""
     out: dict[str, str] = {}
     with open_text(path, ConfigError) as handle:
         for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
+            line = (raw.removeprefix("\ufeff") if lineno == 1 else raw).strip()
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")

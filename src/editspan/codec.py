@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
@@ -88,8 +87,11 @@ class ParseReport:
     """Parse outcome: the surviving script plus accounting for dropped fragments."""
 
     script: EditScript
-    ignored: int = 0
     notes: tuple[str, ...] = ()
+
+    @property
+    def ignored(self) -> int:
+        return len(self.notes)
 
 
 def serialize(script: EditScript) -> str:
@@ -129,6 +131,15 @@ def _position(token: str, digits: int) -> Optional[int]:
     return int(sign + magnitude[-digits:])
 
 
+def _starts_before(starts: list[int], gap: int) -> int:
+    """How many accepted spans start before ``gap``, read from the Fenwick tree."""
+    count = 0
+    while gap:
+        count += starts[gap]
+        gap &= gap - 1
+    return count
+
+
 def parse(text: str, source_len: int) -> ParseReport:
     """Parse serialized span text against a source of ``source_len`` tokens.
 
@@ -144,9 +155,12 @@ def parse(text: str, source_len: int) -> ParseReport:
         return ParseReport(EditScript((), source_len))
     digits = len(str(source_len))
     notes: list[str] = []
-    # kept sorted by start; accepted spans are disjoint, so a candidate can
-    # only overlap its nearest neighbours on either side
     accepted: list[EditSpan] = []
+    # spans are accepted in scan order and sorted once at the end; a fragment
+    # clashes if an accepted span starts at or covers its start gap (marked in
+    # ``taken``) or starts strictly inside it (counted by the Fenwick tree)
+    taken = bytearray(source_len + 1)
+    starts = [0] * (source_len + 2)
     for idx, fragment in enumerate(split_fragments(text)):
         tokens = fragment.split()
         shown = " ".join(tokens[:6])
@@ -164,14 +178,19 @@ def parse(text: str, source_len: int) -> ParseReport:
         if start == end and not replacement:
             notes.append(f"discarded fragment {idx}: span changes nothing: {shown!r}")
             continue
-        at = bisect_left(accepted, start, key=attrgetter("start"))
-        if (at and accepted[at - 1].end > start) or (
-            at < len(accepted) and (accepted[at].start == start or end > accepted[at].start)
+        if taken[start] or (
+            end > start + 1 and _starts_before(starts, end) > _starts_before(starts, start)
         ):
             notes.append(f"discarded fragment {idx}: overlaps an earlier span: {shown!r}")
             continue
-        accepted.insert(at, EditSpan(start, end, replacement))
-    return ParseReport(EditScript(tuple(accepted), source_len), len(notes), tuple(notes))
+        accepted.append(EditSpan(start, end, replacement))
+        taken[start:max(end, start + 1)] = b"\1" * max(end - start, 1)
+        at = start + 1
+        while at < len(starts):
+            starts[at] += 1
+            at += at & -at
+    accepted.sort(key=attrgetter("start"))
+    return ParseReport(EditScript(tuple(accepted), source_len), tuple(notes))
 
 
 def apply_edits(script: EditScript, src: Sentence) -> Sentence:

@@ -21,18 +21,15 @@ class CompressionStat:
 
     span_tokens: int
     target_tokens: int
-    ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.span_tokens / max(self.target_tokens, 1)
 
 
 def compression(span_text: str, target: Sentence) -> CompressionStat:
     """Measure serialized span text against the plain target sentence."""
-    span_tokens = len(span_text.split())
-    target_tokens = len(target)
-    return CompressionStat(
-        span_tokens=span_tokens,
-        target_tokens=target_tokens,
-        ratio=span_tokens / max(target_tokens, 1),
-    )
+    return CompressionStat(len(span_text.split()), len(target))
 
 
 @dataclass(frozen=True)
@@ -42,17 +39,20 @@ class EditScore:
     tp: int
     fp: int
     fn: int
-    precision: float
-    recall: float
-    f05: float
 
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, fn: int) -> "EditScore":
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        recall = tp / (tp + fn) if tp + fn else 1.0
+    @property
+    def precision(self) -> float:
+        return self.tp / (self.tp + self.fp) if self.tp + self.fp else 1.0
+
+    @property
+    def recall(self) -> float:
+        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 1.0
+
+    @property
+    def f05(self) -> float:
+        precision, recall = self.precision, self.recall
         denom = 0.25 * precision + recall
-        f05 = 1.25 * precision * recall / denom if denom else 0.0
-        return cls(tp, fp, fn, precision, recall, f05)
+        return 1.25 * precision * recall / denom if denom else 0.0
 
 
 def edit_f05(hyp: EditScript, gold: EditScript) -> EditScore:
@@ -62,7 +62,7 @@ def edit_f05(hyp: EditScript, gold: EditScript) -> EditScore:
             f"scripts disagree on source length: {hyp.source_len} vs {gold.source_len}"
         )
     hyp_set, gold_set = set(hyp.spans), set(gold.spans)
-    return EditScore.from_counts(
+    return EditScore(
         tp=len(hyp_set & gold_set),
         fp=len(hyp_set - gold_set),
         fn=len(gold_set - hyp_set),
@@ -141,7 +141,7 @@ def reduce_stats(stats: Iterable[PairStats]) -> dict:
         tp += stat.tp
         fp += stat.fp
         fn += stat.fn
-    score = EditScore.from_counts(tp, fp, fn)
+    score = EditScore(tp, fp, fn)
     return {
         "pairs": pairs,
         "agreement_rate": agree / pairs if pairs else 0.0,
@@ -151,14 +151,3 @@ def reduce_stats(stats: Iterable[PairStats]) -> dict:
         "f05": score.f05,
         "ignored_fragments": ignored,
     }
-
-
-def score_corpus(
-    rows: Iterable[tuple[Sentence, str, Sentence]],
-    provider=None,
-    weights: Optional[CostWeights] = None,
-) -> dict:
-    """Score a corpus of (source, hypothesis span text, gold target) rows."""
-    return reduce_stats(
-        pair_stats(src, hyp_text, gold, provider, weights) for src, hyp_text, gold in rows
-    )

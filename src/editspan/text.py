@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO, Union
+from typing import ClassVar, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO, Union
 
 from editspan.errors import ConfigError, DataError, EditSpanError, PairLineError
 
@@ -144,7 +144,7 @@ class NaiveProvider:
     one ``AnnotatedToken`` while it stays in a bounded cache.
     """
 
-    name: str = "naive"
+    name: ClassVar[str] = "naive"
 
     def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
         return tuple(map(_naive_token, surfaces))
@@ -161,7 +161,7 @@ class SidecarProvider:
     """
 
     annotations: Mapping[tuple[str, ...], tuple[AnnotatedToken, ...]]
-    name: str = "sidecar"
+    name: ClassVar[str] = "sidecar"
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "SidecarProvider":

@@ -7,10 +7,11 @@ and ``char_levenshtein``, the merge of edit runs through a run buffer, span
 extraction through per-token ops and ``merge_ops``, the two-row character
 Levenshtein, the per-character ``char_class``, the naive provider that builds a
 fresh token for every surface, the comma-by-comma fragment split,
-``pair_stats`` that annotates every sentence and aligns twice, the dataset mix
-that samples the record lists themselves, and the sidecar loader that keeps
-every row and builds a fresh token tuple on each lookup. Tests require the
-library to give identical results.
+``pair_stats`` that annotates every sentence and aligns twice, the edit-score
+rates computed together in one function, the dataset mix that samples the
+record lists themselves, and the sidecar loader that keeps every row and builds
+a fresh token tuple on each lookup. Tests require the library to give identical
+results.
 """
 
 from __future__ import annotations
@@ -286,6 +287,15 @@ def reference_pair_stats(
         fn=score.fn,
         ignored=report.ignored,
     )
+
+
+def reference_edit_score(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F0.5 from span counts, each written out in full."""
+    precision = tp / (tp + fp) if tp + fp else 1.0
+    recall = tp / (tp + fn) if tp + fn else 1.0
+    denom = 0.25 * precision + recall
+    f05 = 1.25 * precision * recall / denom if denom else 0.0
+    return precision, recall, f05
 
 
 def reference_mix_and_sample(

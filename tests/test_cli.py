@@ -339,6 +339,16 @@ def test_weights_file_changes_extraction(tmp_path, capsys):
     assert default_out != tuned_out
 
 
+def test_weights_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    pairs = _write(tmp_path / "pairs.tsv", "a b\tb a\n")
+    plain = _write(tmp_path / "plain.cfg", "transpose_cost = 5.0\n")
+    marked = _write(tmp_path / "marked.cfg", "\ufefftranspose_cost = 5.0\n")
+    assert main(["extract", pairs, "--weights", plain]) == 0
+    plain_out = capsys.readouterr().out
+    assert main(["extract", pairs, "--weights", marked]) == 0
+    assert capsys.readouterr().out == plain_out
+
+
 def test_bad_weights_file_is_a_usage_error(tmp_path, capsys):
     pairs = _write(tmp_path / "pairs.tsv", "a\ta\n")
     weights = _write(tmp_path / "weights.cfg", "w_bogus = 1\n")
@@ -455,6 +465,15 @@ def test_build_dataset_instruction_override(tmp_path, capsys):
     assert all(r.instruction == "Fix the grammar." for r in gec)
     others = [r for r in records if r.task == "style"]
     assert all(r.instruction == TASK_INSTRUCTIONS["style"] for r in others)
+
+
+def test_instructions_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    overrides = _write(tmp_path / "instructions.cfg", "\ufeffgec = Fix the grammar.\n")
+    out_path = tmp_path / "mix.jsonl"
+    args = _dataset_args(tmp_path) + ["--output", str(out_path), "--instructions", overrides]
+    assert main(args) == 0
+    gec = [r for r in read_dataset_jsonl(out_path) if r.task == "gec"]
+    assert gec and all(r.instruction == "Fix the grammar." for r in gec)
 
 
 def test_build_dataset_unknown_override_task(tmp_path, capsys):

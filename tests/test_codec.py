@@ -260,6 +260,23 @@ def test_parse_many_disjoint_fragments_is_fast():
         assert elapsed < 2.0, f"{count} disjoint fragments took {elapsed:.2f} s"
 
 
+def test_parse_reversed_fragments_is_not_quadratic():
+    # a ratio of run times, so the bound does not depend on machine speed:
+    # linear work gives 8x for 8x the fragments, quadratic work gives 64x
+    def best_time(count: int, runs: int) -> float:
+        text = ", ".join(f"{2 * i} {2 * i + 1} w" for i in reversed(range(count)))
+        best = float("inf")
+        for _ in range(runs):
+            began = time.perf_counter()
+            report = parse(text, 2 * count)
+            best = min(best, time.perf_counter() - began)
+            assert len(report.script.spans) == count and report.ignored == 0
+        return best
+
+    small, large = best_time(20_000, 3), best_time(160_000, 2)
+    assert large <= 16 * small, f"160k fragments took {large / small:.1f}x the time of 20k"
+
+
 def test_apply_edits_many_insertions_is_fast():
     count = 80_000
     src = Sentence(tuple(f"w{i}" for i in range(count)))

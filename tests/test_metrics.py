@@ -23,15 +23,16 @@ from editspan.alignment import extract_spans
 from editspan.codec import EditScript, EditSpan, parse, serialize
 from editspan.errors import DataError
 from editspan.metrics import (
+    CompressionStat,
     EditScore,
     agreement,
     compression,
     edit_f05,
     pair_stats,
-    score_corpus,
+    reduce_stats,
 )
 from editspan.text import NaiveProvider, tokenize
-from reference import reference_pair_stats
+from reference import reference_edit_score, reference_pair_stats
 
 
 def test_compression_single_insertion_reference_pair():
@@ -61,7 +62,7 @@ def test_empty_script_serialization_is_minimal():
 
 
 def test_edit_score_reference_counts():
-    score = EditScore.from_counts(tp=2, fp=0, fn=1)
+    score = EditScore(tp=2, fp=0, fn=1)
     assert score.precision == 1.0
     assert score.recall == pytest.approx(2 / 3)
     assert score.f05 == pytest.approx(10 / 11)
@@ -69,21 +70,35 @@ def test_edit_score_reference_counts():
 
 
 def test_edit_score_degenerate_cases():
-    perfect = EditScore.from_counts(0, 0, 0)
+    perfect = EditScore(0, 0, 0)
     assert (perfect.precision, perfect.recall, perfect.f05) == (1.0, 1.0, 1.0)
 
-    no_hyp = EditScore.from_counts(0, 0, 2)
+    no_hyp = EditScore(0, 0, 2)
     assert no_hyp.precision == 1.0
     assert no_hyp.recall == 0.0
     assert no_hyp.f05 == 0.0
 
-    no_gold = EditScore.from_counts(0, 2, 0)
+    no_gold = EditScore(0, 2, 0)
     assert no_gold.precision == 0.0
     assert no_gold.recall == 1.0
     assert no_gold.f05 == 0.0
 
-    disjoint = EditScore.from_counts(0, 1, 1)
+    disjoint = EditScore(0, 1, 1)
     assert (disjoint.precision, disjoint.recall, disjoint.f05) == (0.0, 0.0, 0.0)
+
+
+def test_computed_rates_match_reference_bit_for_bit():
+    counts = range(12)
+    for tp in counts:
+        for fp in counts:
+            for fn in counts:
+                score = EditScore(tp, fp, fn)
+                rates = (score.precision, score.recall, score.f05)
+                assert rates == reference_edit_score(tp, fp, fn), (tp, fp, fn)
+    for span_tokens in counts:
+        for target_tokens in counts:
+            stat = CompressionStat(span_tokens, target_tokens)
+            assert stat.ratio == span_tokens / max(target_tokens, 1)
 
 
 def test_edit_f05_counts_exact_span_matches():
@@ -147,7 +162,7 @@ def test_pair_stats_and_score_corpus_hand_computed():
     assert third.ratio == pytest.approx(5 / 3)
     assert (third.tp, third.fp, third.fn) == (0, 2, 1)
 
-    report = score_corpus(rows)
+    report = reduce_stats(pair_stats(*row) for row in rows)
     assert report["pairs"] == 3
     assert report["agreement_rate"] == pytest.approx(2 / 3)
     assert report["mean_ratio"] == pytest.approx(1.0)
@@ -229,12 +244,12 @@ def test_pair_stats_annotates_the_source_once_and_reuses_the_gold_script():
 
 def test_score_corpus_counts_ignored_fragments():
     rows = [(tokenize("a b"), "banana, 0 1 x", tokenize("x b"))]
-    report = score_corpus(rows)
+    report = reduce_stats(pair_stats(*row) for row in rows)
     assert report["ignored_fragments"] == 1
     assert report["precision"] == 1.0
 
 
 def test_score_corpus_empty():
-    report = score_corpus([])
+    report = reduce_stats([])
     assert report["pairs"] == 0
     assert report["agreement_rate"] == 0.0
