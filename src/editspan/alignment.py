@@ -23,8 +23,8 @@ from editspan.text import (
     AnnotatedToken,
     Sentence,
     annotate,
-    open_text,
     parse_pair_line,
+    read_lines,
     tokenize,
 )
 
@@ -101,17 +101,20 @@ class CostWeights:
 
 
 def read_kv_config(path: Union[str, Path]) -> dict[str, str]:
-    """Read a flat UTF-8 config of ``key = value`` lines; ``#`` comments and a BOM allowed."""
+    """Read a flat config of ``key = value`` lines; ``#`` comments allowed.
+
+    The lines come from ``read_lines``, so a leading byte-order mark is
+    skipped, and bytes that are not UTF-8 are a ``ConfigError``.
+    """
     out: dict[str, str] = {}
-    with open_text(path, ConfigError) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = (raw.removeprefix("\ufeff") if lineno == 1 else raw).strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep or not key.strip():
-                raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_lines(path, ConfigError), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(f"{path}: line {lineno}: expected key = value")
+        out[key.strip()] = value.strip()
     return out
 
 

@@ -31,7 +31,7 @@ from editspan.dataset import (
 )
 from editspan.errors import ConfigError, DataError
 from editspan.metrics import PairStats, pair_stats, reduce_stats
-from editspan.text import AnnotationProvider, detokenize, make_provider, open_text, tokenize
+from editspan.text import AnnotationProvider, detokenize, make_provider, read_lines, tokenize
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -111,19 +111,13 @@ def _record_one(job: tuple[str, str, str]) -> DatasetRecord:
     return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS)
 
 
-def _iter_lines(path: str) -> Iterator[str]:
-    with open_text(path) as handle:
-        for line in handle:
-            yield line.rstrip("\r\n")
-
-
 def _read_rows(paths: dict[str, str]) -> Iterator[tuple[str, ...]]:
     """The files' lines, one from each file per row, read as they are needed.
 
     Raises:
         DataError: at the end of the shortest file, if the line counts differ.
     """
-    files = [_iter_lines(path) for path in paths.values()]
+    files = [(line.rstrip("\n") for line in read_lines(path)) for path in paths.values()]
     rows = 0
     for row in zip_longest(*files):
         if None in row:
@@ -157,7 +151,7 @@ def _load_settings(args: argparse.Namespace) -> tuple[AnnotationProvider, CostWe
 def cmd_extract(args: argparse.Namespace) -> int:
     provider, weights = _load_settings(args)
     with _output(args.output) as out:
-        numbered = enumerate(_iter_lines(args.pairs), 1)
+        numbered = enumerate(read_lines(args.pairs), 1)
         for span_line in _map_lines(_extract_one, numbered, args.jobs, provider, weights):
             print(span_line, file=out)
     return 0
@@ -197,7 +191,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     provider, weights = _load_settings(args)
     failures = 0
     total = 0
-    numbered = enumerate(_iter_lines(args.pairs), 1)
+    numbered = enumerate(read_lines(args.pairs), 1)
     for problem in _map_lines(_roundtrip_one, numbered, args.jobs, provider, weights):
         total += 1
         if problem is not None:
@@ -221,7 +215,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     # but the counts, so only the sampled lines are ever aligned.
     corpora: dict[str, list[str]] = {}
     for task, path in corpus_paths.items():
-        corpora[task], skipped = scan_pair_lines(_iter_lines(path), provider)
+        corpora[task], skipped = scan_pair_lines(read_lines(path), provider)
         for note in skipped:
             print(f"{path}: skipped {note}", file=sys.stderr)
     open_ended = read_open_ended_jsonl(args.open_ended)

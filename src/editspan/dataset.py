@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Unio
 from editspan.alignment import CostWeights, extract_line
 from editspan.codec import apply_edits, parse, serialize
 from editspan.errors import ConfigError, DataError, PairLineError
-from editspan.text import annotate, detokenize, open_text, parse_pair_line, tokenize
+from editspan.text import annotate, detokenize, parse_pair_line, read_lines, tokenize
 
 TASK_INSTRUCTIONS: dict[str, str] = {
     "gec": "Rewrite the input text into grammatically correct text.",
@@ -248,7 +248,11 @@ def atomic_output(path: Union[str, Path]) -> Iterator[TextIO]:
             yield handle
         return
     tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
-    handle = tmp.open("x", encoding="utf-8", newline="\n")
+    try:
+        handle = tmp.open("x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        # name the path asked for, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with handle:
             if target.exists():
@@ -289,31 +293,28 @@ def _read_jsonl(
     """
     path = Path(path)
     records = []
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            try:
-                if not isinstance(obj, dict):
-                    raise ValueError("expected a JSON object")
-                missing = [key for key in required if key not in obj]
-                if missing:
-                    raise ValueError(f"missing {', '.join(missing)}")
-                values = {key: str(obj.get(key, "")) for key in _FIELDS}
-                if task is not None:
-                    values["task"] = task
-                for key, value in values.items():
-                    if _SURROGATE.search(value):
-                        raise ValueError(
-                            f"{key} is not valid Unicode: it holds a lone surrogate"
-                        )
-                records.append(DatasetRecord(**values))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
+            missing = [key for key in required if key not in obj]
+            if missing:
+                raise ValueError(f"missing {', '.join(missing)}")
+            values = {key: str(obj.get(key, "")) for key in _FIELDS}
+            if task is not None:
+                values["task"] = task
+            for key, value in values.items():
+                if _SURROGATE.search(value):
+                    raise ValueError(f"{key} is not valid Unicode: it holds a lone surrogate")
+            records.append(DatasetRecord(**values))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 

@@ -4,17 +4,17 @@ Text is treated as pre-tokenized: tokens are whitespace-delimited, and token
 or gap indices are only comparable between strings tokenized identically.
 Linguistic annotation (lemma, coarse POS) comes from a provider so the
 signal can be a cheap heuristic or an external tagger's output shipped in a
-sidecar file.
+sidecar file. Every input file is read through ``read_lines``, which owns the
+rules for turning its bytes into lines.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import ClassVar, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO, Union
+from typing import ClassVar, Iterator, Mapping, NamedTuple, Protocol, Sequence, Union
 
 from editspan.errors import ConfigError, DataError, EditSpanError, PairLineError
 
@@ -41,18 +41,24 @@ def char_class(surface: str) -> str:
     return "mixed"
 
 
-@contextmanager
-def open_text(
+def read_lines(
     path: Union[str, Path], error: type[EditSpanError] = DataError
-) -> Iterator[TextIO]:
-    """Open ``path`` to read UTF-8 text.
+) -> Iterator[str]:
+    """Yield the lines of the UTF-8 text file ``path``, each with its ``"\\n"``.
 
-    Bytes that do not decode raise ``error`` naming the file, wherever in the
-    block the text is read, instead of a bare ``UnicodeDecodeError``.
+    One leading byte-order mark is skipped. ``"\\n"``, ``"\\r\\n"`` and a lone
+    ``"\\r"`` each end a line (Python's universal newlines), and every ending
+    is read as ``"\\n"``; the last line may have none. Bytes that do not
+    decode raise ``error`` naming the file, instead of a bare
+    ``UnicodeDecodeError``.
     """
+    # not "utf-8-sig": it reads a file holding only b"\xef" or b"\xef\xbb" as empty
     with open(path, encoding="utf-8") as handle:
         try:
-            yield handle
+            first = handle.readline().removeprefix("\ufeff")
+            if first:  # a file holding only a byte-order mark has no lines
+                yield first
+            yield from handle
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from None
 
@@ -169,28 +175,27 @@ class SidecarProvider:
         mapping: dict[tuple[str, ...], tuple[AnnotatedToken, ...]] = {}
         tokens: dict[str, AnnotatedToken] = {}
         block: list[AnnotatedToken] = []
-        with open_text(path) as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.rstrip("\r\n")
-                token = tokens.get(line)
-                if token is None:
-                    if not line.strip():
-                        if block:
-                            mapping[tuple(t.surface for t in block)] = tuple(block)
-                            block = []
-                        continue
-                    parts = line.split("\t")
-                    if len(parts) != 3:
-                        raise DataError(
-                            f"{path}: line {lineno}: expected surface<TAB>lemma<TAB>pos"
-                        )
-                    surface, lemma, pos = parts
-                    if not lemma.strip():
-                        raise DataError(f"{path}: line {lineno}: empty lemma")
-                    token = tokens[line] = AnnotatedToken(
-                        surface, lemma.strip().lower(), normalize_pos(pos)
+        for lineno, raw in enumerate(read_lines(path), 1):
+            line = raw.rstrip("\n")
+            token = tokens.get(line)
+            if token is None:
+                if not line.strip():
+                    if block:
+                        mapping[tuple(t.surface for t in block)] = tuple(block)
+                        block = []
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise DataError(
+                        f"{path}: line {lineno}: expected surface<TAB>lemma<TAB>pos"
                     )
-                block.append(token)
+                surface, lemma, pos = parts
+                if not lemma.strip():
+                    raise DataError(f"{path}: line {lineno}: empty lemma")
+                token = tokens[line] = AnnotatedToken(
+                    surface, lemma.strip().lower(), normalize_pos(pos)
+                )
+            block.append(token)
         if block:
             mapping[tuple(t.surface for t in block)] = tuple(block)
         return cls(mapping)
@@ -259,12 +264,3 @@ def parse_pair_line(line: str, lineno: int = 0) -> tuple[str, str]:
             f"line {lineno}: expected source<TAB>target, got {len(parts)} fields"
         )
     return parts[0], parts[1]
-
-
-def read_parallel_tsv(path: Union[str, Path]) -> list[tuple[str, str]]:
-    """Read a parallel corpus of ``source<TAB>target`` lines (strict)."""
-    pairs = []
-    with open_text(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            pairs.append(parse_pair_line(line, lineno))
-    return pairs

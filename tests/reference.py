@@ -44,7 +44,7 @@ from editspan.text import (
     annotate,
     char_class,
     normalize_pos,
-    open_text,
+    read_lines,
 )
 
 
@@ -330,23 +330,22 @@ def reference_sidecar_from_file(
     path = Path(path)
     blocks: list[list[tuple[str, str, str]]] = []
     current: list[tuple[str, str, str]] = []
-    with open_text(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                if current:
-                    blocks.append(current)
-                    current = []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}: line {lineno}: expected surface<TAB>lemma<TAB>pos"
-                )
-            surface, lemma, pos = parts
-            if not lemma.strip():
-                raise DataError(f"{path}: line {lineno}: empty lemma")
-            current.append((surface, lemma.strip().lower(), normalize_pos(pos)))
+    for lineno, raw in enumerate(read_lines(path), 1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(
+                f"{path}: line {lineno}: expected surface<TAB>lemma<TAB>pos"
+            )
+        surface, lemma, pos = parts
+        if not lemma.strip():
+            raise DataError(f"{path}: line {lineno}: empty lemma")
+        current.append((surface, lemma.strip().lower(), normalize_pos(pos)))
     if current:
         blocks.append(current)
     return {

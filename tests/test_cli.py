@@ -595,10 +595,33 @@ def test_build_dataset_unsampled_line_missing_from_sidecar_is_a_data_error(
     assert not out_path.exists()
 
 
+# one small file of every input kind; two lines each, so an ending shows
+_INPUTS = {
+    "pairs": "a b\ta c\nthe cat\tthe cats\n",
+    "gec": "a b\ta c\nb a\tb c\n",
+    "paraphrase": "x y\tx z\ny x\tz x\n",
+    "style": "p q\tp r\nq p\tr p\n",
+    "simplify": "u v w\tu w\nw v u\tw u\n",
+    "sources": "a b\nthe cat\n",
+    "spans": "1 2 c\n2 2 sat\n",
+    "targets": "a c\nthe cat sat\n",
+    "open": (
+        '{"instruction": "q", "output": "a"}\n'
+        '{"instruction": "r", "input": "i", "output": "b"}\n'
+    ),
+    "sidecar": (
+        "a\ta\tDET\nb\tb\tNOUN\n\na\ta\tDET\nc\tc\tNOUN\n\n"
+        "the\tthe\tDET\ncat\tcat\tNOUN\n\nthe\tthe\tDET\ncats\tcat\tNOUN\n"
+    ),
+    "weights": "# no swaps\ntranspose_cost = 5.0\n",
+    "instructions": "gec = Fix it.\nstyle = Make it formal.\n",
+}
+
+# every corpus line and open-ended record is sampled
 _DATASET_ARGV = [
-    "build-dataset", "--gec", "{gec}", "--paraphrase", "{pairs}", "--style", "{pairs}",
-    "--simplify", "{pairs}", "--open-ended", "{open}", "--per-task", "1",
-    "--open-count", "1", "--instructions", "{instructions}", "-o", "{out}",
+    "build-dataset", "--gec", "{gec}", "--paraphrase", "{paraphrase}", "--style", "{style}",
+    "--simplify", "{simplify}", "--open-ended", "{open}", "--per-task", "2",
+    "--open-count", "2", "--instructions", "{instructions}", "-o", "{out}",
 ]
 
 
@@ -624,24 +647,75 @@ _DATASET_ARGV = [
     ],
 )
 def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, argv, bad, code, capsys):
-    contents = {
-        "pairs": "a b\ta c\n",
-        "gec": "a b\ta c\n",
-        "sources": "a b\n",
-        "spans": "1 2 c\n",
-        "targets": "a c\n",
-        "open": '{"instruction": "q", "output": "a"}\n',
-        "sidecar": "a\ta\tDET\nb\tb\tNOUN\n\na\ta\tDET\nc\tc\tNOUN\n",
-        "weights": "w_char = 0.5\n",
-        "instructions": "gec = Fix it.\n",
-    }
-    paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in contents.items()}
-    (tmp_path / f"{bad}.in").write_bytes(b"\xff" + contents[bad].encode("utf-8"))
+    paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
+    (tmp_path / f"{bad}.in").write_bytes(b"\xff" + _INPUTS[bad].encode("utf-8"))
     out_path = tmp_path / "out.txt"
     assert main([a.format(out=out_path, **paths) for a in argv]) == code
     err = capsys.readouterr().err
     assert f"{paths[bad]}: not valid UTF-8 text" in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.in" for n in contents)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.in" for n in _INPUTS)
+
+
+# a command that reads each input kind
+_READERS = {
+    "pairs": ["extract", "{pairs}", "-o", "{out}"],
+    "gec": _DATASET_ARGV,
+    "paraphrase": _DATASET_ARGV,
+    "style": _DATASET_ARGV,
+    "simplify": _DATASET_ARGV,
+    "sidecar": [
+        "extract", "{pairs}", "--provider", "sidecar", "--annotations", "{sidecar}",
+        "-o", "{out}",
+    ],
+    "open": _DATASET_ARGV,
+    "sources": ["apply", "{sources}", "{spans}", "-o", "{out}"],
+    "spans": ["apply", "{sources}", "{spans}", "-o", "{out}"],
+    "targets": ["score", "{sources}", "{spans}", "{targets}"],
+    "weights": ["extract", "{pairs}", "--weights", "{weights}", "-o", "{out}"],
+    "instructions": _DATASET_ARGV,
+}
+
+
+@pytest.mark.parametrize("variant", ["bom", "crlf", "cr"])
+@pytest.mark.parametrize("name", list(_READERS))
+def test_bom_and_line_endings_read_like_a_plain_lf_file(tmp_path, name, variant, capsys):
+    paths = {n: _write(tmp_path / f"{n}.in", text) for n, text in _INPUTS.items()}
+    out_path = tmp_path / "out.txt"
+    argv = [a.format(out=out_path, **paths) for a in _READERS[name]]
+
+    def run():
+        code = main(argv)
+        streams = capsys.readouterr()
+        written = out_path.read_bytes() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return code, streams.out, streams.err, written
+
+    plain = run()
+    assert plain[0] == 0
+    text = _INPUTS[name]
+    changed = {
+        "bom": "\ufeff" + text,
+        "crlf": text.replace("\n", "\r\n"),
+        "cr": text.replace("\n", "\r"),
+    }[variant]
+    (tmp_path / f"{name}.in").write_bytes(changed.encode("utf-8"))
+    assert run() == plain
+
+
+@pytest.mark.parametrize(
+    "argv", [["extract", "{pairs}", "-o", "{out}"], _DATASET_ARGV],
+    ids=["extract", "build-dataset"],
+)
+def test_output_into_a_missing_directory_names_the_given_path(
+    tmp_path, monkeypatch, argv, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
+    assert main([a.format(out="nodir/out.txt", **paths) for a in argv]) == 1
+    assert capsys.readouterr() == (
+        "", "editspan: error: [Errno 2] No such file or directory: 'nodir/out.txt'\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.in" for n in _INPUTS)
 
 
 def test_build_dataset_open_ended_error_names_the_file_as_given(

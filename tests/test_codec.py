@@ -312,6 +312,8 @@ def test_edit_script_validation():
         EditScript((EditSpan(2, 2, ("x",)), EditSpan(2, 3, ("y",))), 5)
     with pytest.raises(ValueError):
         EditScript((), source_len=-1)
+    with pytest.raises(ValueError, match="source length must be non-negative: -1"):
+        parse("None", -1)
 
 
 def test_apply_reference_script():

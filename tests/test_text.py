@@ -21,7 +21,7 @@ from editspan.text import (
     make_provider,
     normalize_pos,
     parse_pair_line,
-    read_parallel_tsv,
+    read_lines,
     tokenize,
 )
 from reference import (
@@ -385,7 +385,29 @@ def test_parse_pair_line():
         parse_pair_line("a\tb\tc", 4)
 
 
-def test_read_parallel_tsv(tmp_path):
-    corpus = tmp_path / "pairs.tsv"
-    corpus.write_text("a b\ta c\nx\tx y\n", encoding="utf-8")
-    assert read_parallel_tsv(corpus) == [("a b", "a c"), ("x", "x y")]
+@pytest.mark.parametrize(
+    ("data", "lines"),
+    [
+        (b"", []),
+        (b"a b\nc", ["a b\n", "c"]),
+        (b"\xef\xbb\xbfa\n\xef\xbb\xbfb\n", ["a\n", "\ufeffb\n"]),
+        (b"\xef\xbb\xbf\xef\xbb\xbfa\n", ["\ufeffa\n"]),
+        (b"\xef\xbb\xbf", []),
+        (b"a\r\nb\rc\n\r\n", ["a\n", "b\n", "c\n", "\n"]),
+    ],
+    ids=["empty", "no-final-newline", "bom", "two-boms", "bom-only", "crlf-and-cr"],
+)
+def test_read_lines_skips_one_bom_and_reads_every_ending_as_lf(tmp_path, data, lines):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    assert list(read_lines(path)) == lines
+
+
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"], ids=["one-byte", "two-bytes"])
+def test_read_lines_truncated_bom_is_not_valid_utf8(tmp_path, data):
+    # the start of a byte-order mark is not one; "utf-8-sig" would read it as empty
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as info:
+        list(read_lines(path))
+    assert str(info.value) == f"{path}: not valid UTF-8 text (unexpected end of data)"
