@@ -10,15 +10,15 @@ non-match steps on that path becomes one edit span over source gap positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
+from editspan._value import Value
 from editspan.codec import EditScript, EditSpan, apply_edits
-from editspan.errors import ConfigError, DataError
+from editspan.errors import BudgetError, ConfigError
 from editspan.text import (
     AnnotatedToken,
     Sentence,
@@ -29,7 +29,8 @@ from editspan.text import (
 )
 
 # The largest band ``align`` fills, as rows times the widest row; past it,
-# ``align`` raises DataError before allocating. A 1000 x 1000 table fits.
+# ``align`` raises BudgetError (a DataError) before allocating. A 1000 x 1000
+# table fits.
 MAX_BAND_CELLS = 1 << 20
 # The largest weight accepted. A path through n x m tokens has at most n + m
 # ops, so at most 2 * MAX_BAND_CELLS within the budget, of at most 2 * MAX_WEIGHT
@@ -40,8 +41,7 @@ MAX_WEIGHT = 1e300
 _BAND_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class CostWeights:
+class CostWeights(Value):
     """Alignment cost model.
 
     The base substitution cost is ``insert_cost + delete_cost``; lemma, POS,
@@ -51,21 +51,29 @@ class CostWeights:
     free unless the surfaces are identical.
     """
 
-    w_lemma: float = 0.5
-    w_pos: float = 0.4
-    w_char: float = 0.6
-    insert_cost: float = 1.0
-    delete_cost: float = 1.0
-    transpose_cost: float = 1.1
-    sub_floor: float = 0.1
+    _FIELDS = (
+        "w_lemma", "w_pos", "w_char", "insert_cost", "delete_cost", "transpose_cost", "sub_floor",
+    )
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __init__(
+        self,
+        w_lemma: float = 0.5,
+        w_pos: float = 0.4,
+        w_char: float = 0.6,
+        insert_cost: float = 1.0,
+        delete_cost: float = 1.0,
+        transpose_cost: float = 1.1,
+        sub_floor: float = 0.1,
+    ) -> None:
+        self.__dict__.update(
+            w_lemma=w_lemma, w_pos=w_pos, w_char=w_char, insert_cost=insert_cost,
+            delete_cost=delete_cost, transpose_cost=transpose_cost, sub_floor=sub_floor,
+        )
+        for name, value in self.__dict__.items():
             if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite")
+                raise ValueError(f"{name} must be finite")
             if value > MAX_WEIGHT:
-                raise ValueError(f"{field.name} must be at most {MAX_WEIGHT:g}")
+                raise ValueError(f"{name} must be at most {MAX_WEIGHT:g}")
         for name in ("w_lemma", "w_pos", "w_char"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -81,10 +89,9 @@ class CostWeights:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Union[str, float]]) -> "CostWeights":
-        known = {f.name for f in fields(cls)}
         values = {}
         for key, value in mapping.items():
-            if key not in known:
+            if key not in cls._FIELDS:
                 raise ConfigError(f"unknown cost weight: {key!r}")
             try:
                 values[key] = float(value)
@@ -275,7 +282,7 @@ def _fill_band(
         lo, hi = min(0, d) - k, max(0, d) + k
         cells = (n + 1) * min(m + 1, hi - lo + 1)  # at least the band's cells
         if cells > MAX_BAND_CELLS:
-            raise DataError(
+            raise BudgetError(
                 f"aligning {len(src)} x {len(tgt)} tokens needs a band of {cells} cells, "
                 f"more than the budget of {MAX_BAND_CELLS}"
             )
@@ -382,7 +389,7 @@ def align(
     result a deterministic function of the inputs and weights.
 
     Raises:
-        DataError: the band to fill, sized as rows times its widest row, is
+        BudgetError: the band to fill, sized as rows times its widest row, is
             larger than ``MAX_BAND_CELLS``.
     """
     back, n, _, lo, total = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)

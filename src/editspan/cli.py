@@ -173,12 +173,25 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
+def _note_over_budget(stats: Iterable[PairStats], spans_path: str) -> Iterator[PairStats]:
+    """Pass ``stats`` through, noting on stderr each hypothesis too long to align."""
+    for lineno, stat in enumerate(stats, 1):
+        if stat.over_budget:
+            print(
+                f"{spans_path}: line {lineno}: the hypothesis's result is too long to "
+                "align; counted as not agreeing",
+                file=sys.stderr,
+            )
+        yield stat
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     provider, weights = _load_settings(args)
     rows = _read_rows(
         {"sources": args.sources, "spans": args.spans, "targets": args.targets}
     )
-    report = reduce_stats(_map_lines(_score_one, rows, args.jobs, provider, weights))
+    stats = _map_lines(_score_one, rows, args.jobs, provider, weights)
+    report = reduce_stats(_note_over_budget(stats, args.spans))
     if args.report == "text":
         for key, value in report.items():
             print(f"{key}: {value}")

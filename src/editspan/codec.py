@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
+from editspan._value import Value
 from editspan.errors import DataError
 from editspan.text import Sentence, _are_tokens
 
@@ -28,8 +28,7 @@ _INT = re.compile(r"-?\d+")
 _BOUNDARY = re.compile(r",(?=\s*-?\d+\s+-?\d+)")
 
 
-@dataclass(frozen=True)
-class EditSpan:
+class EditSpan(Value):
     """One edit: replace source tokens in ``[start, end)`` with ``replacement``.
 
     ``start == end`` with a non-empty replacement is an insertion at that gap;
@@ -37,42 +36,34 @@ class EditSpan:
     changes nothing (``start == end`` and no replacement) is not representable.
     """
 
-    start: int
-    end: int
-    replacement: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replacement", tuple(self.replacement))
-        if self.start < 0:
-            raise ValueError(f"span start must be non-negative: {self.start}")
-        if self.end < self.start:
-            raise ValueError(f"span end {self.end} precedes start {self.start}")
-        if self.start == self.end and not self.replacement:
+    def __init__(self, start: int, end: int, replacement: tuple[str, ...] = ()) -> None:
+        replacement = tuple(replacement)
+        if start < 0:
+            raise ValueError(f"span start must be non-negative: {start}")
+        if end < start:
+            raise ValueError(f"span end {end} precedes start {start}")
+        if start == end and not replacement:
             raise ValueError("a span must insert, delete, or replace something")
-        if not _are_tokens(self.replacement):
+        if not _are_tokens(replacement):
             raise ValueError(
-                "replacement tokens must be non-empty with no whitespace: "
-                f"{self.replacement!r}"
+                f"replacement tokens must be non-empty with no whitespace: {replacement!r}"
             )
+        self.__dict__.update(start=start, end=end, replacement=replacement)
 
 
-@dataclass(frozen=True)
-class EditScript:
+class EditScript(Value):
     """A sorted, non-overlapping set of spans for a source of ``source_len`` tokens."""
 
-    spans: tuple[EditSpan, ...] = ()
-    source_len: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spans", tuple(self.spans))
-        if self.source_len < 0:
-            raise ValueError(f"source length must be non-negative: {self.source_len}")
-        for span in self.spans:
-            if span.end > self.source_len:
+    def __init__(self, spans: tuple[EditSpan, ...] = (), source_len: int = 0) -> None:
+        spans = tuple(spans)
+        if source_len < 0:
+            raise ValueError(f"source length must be non-negative: {source_len}")
+        for span in spans:
+            if span.end > source_len:
                 raise ValueError(
-                    f"span {span.start} {span.end} exceeds source length {self.source_len}"
+                    f"span {span.start} {span.end} exceeds source length {source_len}"
                 )
-        for a, b in zip(self.spans, self.spans[1:]):
+        for a, b in zip(spans, spans[1:]):
             if (a.start, a.end) > (b.start, b.end):
                 raise ValueError("spans must be sorted ascending by (start, end)")
             # at most one span may begin at any gap, and ranges may not overlap
@@ -80,14 +71,14 @@ class EditScript:
                 raise ValueError(
                     f"spans {a.start} {a.end} and {b.start} {b.end} overlap"
                 )
+        self.__dict__.update(spans=spans, source_len=source_len)
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(Value):
     """Parse outcome: the surviving script plus accounting for dropped fragments."""
 
-    script: EditScript
-    notes: tuple[str, ...] = ()
+    def __init__(self, script: EditScript, notes: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(script=script, notes=notes)
 
     @property
     def ignored(self) -> int:

@@ -16,10 +16,10 @@ import random
 import re
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
+from editspan._value import Value
 from editspan.alignment import CostWeights, extract_line
 from editspan.codec import apply_edits, parse, serialize
 from editspan.errors import ConfigError, DataError, PairLineError
@@ -36,39 +36,44 @@ OPEN_ENDED_TASK = "open_ended"
 TASK_LABELS = tuple(TASK_INSTRUCTIONS) + (OPEN_ENDED_TASK,)
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
+class DatasetRecord(Value):
     """One instruction-tuning record; field order is the JSON key order."""
 
-    instruction: str
-    input: str
-    output: str
-    task: str
-
-    def __post_init__(self) -> None:
-        if self.task not in TASK_LABELS:
-            raise ValueError(f"unknown task label: {self.task!r}")
+    def __init__(self, instruction: str, input: str, output: str, task: str) -> None:
+        if task not in TASK_LABELS:
+            raise ValueError(f"unknown task label: {task!r}")
+        self.__dict__.update(instruction=instruction, input=input, output=output, task=task)
 
     def to_json(self) -> str:
         return json.dumps(vars(self), ensure_ascii=False)
 
 
-_FIELDS = tuple(field.name for field in fields(DatasetRecord))
+_FIELDS = ("instruction", "input", "output", "task")
 # json.loads pairs valid surrogate escapes; any surrogate left is a lone one
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    """Sampling counts and seed for the final mix."""
+class MixSpec(Value):
+    """Sampling counts and seed for the final mix.
 
-    per_task_count: int = 3000
-    open_ended_count: int = 13000
-    seed: int = 0
+    The class attributes are the defaults, which the command line reads.
+    """
 
-    def __post_init__(self) -> None:
-        if self.per_task_count < 0 or self.open_ended_count < 0:
+    per_task_count = 3000
+    open_ended_count = 13000
+    seed = 0
+
+    def __init__(
+        self,
+        per_task_count: int = per_task_count,
+        open_ended_count: int = open_ended_count,
+        seed: int = seed,
+    ) -> None:
+        if per_task_count < 0 or open_ended_count < 0:
             raise ValueError("sample counts must be non-negative")
+        self.__dict__.update(
+            per_task_count=per_task_count, open_ended_count=open_ended_count, seed=seed
+        )
 
 
 def pair_record(
@@ -187,13 +192,11 @@ def mix_and_sample(
     ]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Value):
     """Outcome of validating built records."""
 
-    total: int
-    checked: int
-    failures: tuple[tuple[int, str], ...]
+    def __init__(self, total: int, checked: int, failures: tuple[tuple[int, str], ...]) -> None:
+        self.__dict__.update(total=total, checked=checked, failures=failures)
 
     @property
     def ok(self) -> bool:

@@ -15,3 +15,7 @@ class DataError(EditSpanError):
 
 class PairLineError(DataError):
     """A corpus line that is not exactly one ``source<TAB>target`` pair."""
+
+
+class BudgetError(DataError):
+    """An alignment whose band would exceed ``MAX_BAND_CELLS``, refused before any work."""

@@ -2,25 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from editspan._value import Value
 from editspan.alignment import CostWeights, _extract_annotated, canonicalize
 from editspan.codec import EditScript, apply_edits, parse
-from editspan.errors import DataError
+from editspan.errors import BudgetError, DataError
 from editspan.text import Sentence, annotate
 
 
-@dataclass(frozen=True)
-class CompressionStat:
+class CompressionStat(Value):
     """How compact a serialized script is relative to its target sentence.
 
     Token counts are whitespace tokens of the serialized string, so the empty
     script (``None``) counts as one.
     """
 
-    span_tokens: int
-    target_tokens: int
+    def __init__(self, span_tokens: int, target_tokens: int) -> None:
+        self.__dict__.update(span_tokens=span_tokens, target_tokens=target_tokens)
 
     @property
     def ratio(self) -> float:
@@ -32,13 +31,11 @@ def compression(span_text: str, target: Sentence) -> CompressionStat:
     return CompressionStat(len(span_text.split()), len(target))
 
 
-@dataclass(frozen=True)
-class EditScore:
+class EditScore(Value):
     """Span-level precision, recall, and F0.5 from exact (start, end, replacement) matches."""
 
-    tp: int
-    fp: int
-    fn: int
+    def __init__(self, tp: int, fp: int, fn: int) -> None:
+        self.__dict__.update(tp=tp, fp=fp, fn=fn)
 
     @property
     def precision(self) -> float:
@@ -79,16 +76,27 @@ def agreement(
     return hyp.spans == canonicalize(hyp, src, provider, weights).spans
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """Per-pair scoring facts; corpus stats reduce over these."""
+class PairStats(Value):
+    """Per-pair scoring facts; corpus stats reduce over these.
 
-    agree: bool
-    ratio: float
-    tp: int
-    fp: int
-    fn: int
-    ignored: int
+    ``over_budget`` marks a hypothesis whose result was too long to align
+    within ``MAX_BAND_CELLS``; such a pair does not agree.
+    """
+
+    def __init__(
+        self,
+        agree: bool,
+        ratio: float,
+        tp: int,
+        fp: int,
+        fn: int,
+        ignored: int,
+        over_budget: bool = False,
+    ) -> None:
+        self.__dict__.update(
+            agree=agree, ratio=ratio, tp=tp, fp=fp, fn=fn, ignored=ignored,
+            over_budget=over_budget,
+        )
 
 
 def pair_stats(
@@ -102,7 +110,10 @@ def pair_stats(
 
     The source is annotated once for both extractions, and a hypothesis that
     rewrites the source into the gold target reuses the gold script as its
-    canonical form instead of aligning the same pair again.
+    canonical form instead of aligning the same pair again. A hypothesis whose
+    result is past the alignment budget, such as a repetition loop, is model
+    output rather than corpus: it is counted as not agreeing, where a gold
+    target past the budget raises ``BudgetError``.
     """
     report = parse(hyp_text, len(src))
     src_annot = annotate(src, provider)
@@ -112,14 +123,18 @@ def pair_stats(
     if produced.surfaces == gold.surfaces:
         canonical = gold_script
     else:
-        canonical = _extract_annotated(src_annot, produced, provider, weights)
+        try:
+            canonical = _extract_annotated(src_annot, produced, provider, weights)
+        except BudgetError:
+            canonical = None
     return PairStats(
-        agree=report.script.spans == canonical.spans,
+        agree=canonical is not None and report.script.spans == canonical.spans,
         ratio=compression(hyp_text, gold).ratio,
         tp=score.tp,
         fp=score.fp,
         fn=score.fn,
         ignored=report.ignored,
+        over_budget=canonical is None,
     )
 
 

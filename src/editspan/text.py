@@ -11,11 +11,11 @@ rules for turning its bytes into lines.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import ClassVar, Iterator, Mapping, NamedTuple, Protocol, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, Union
 
+from editspan._value import Value
 from editspan.errors import ConfigError, DataError, EditSpanError, PairLineError
 
 POS_TAGS = frozenset({
@@ -89,22 +89,20 @@ def _are_tokens(surfaces: tuple[str, ...]) -> bool:
     return tuple(" ".join(surfaces).split()) == surfaces
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(Value):
     """An immutable tokenized sentence: its token surfaces in order.
 
     Every surface is non-empty and free of whitespace, so joining with single
     spaces and splitting again gives the same tokens back.
     """
 
-    surfaces: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not _are_tokens(self.surfaces):
+    def __init__(self, surfaces: tuple[str, ...]) -> None:
+        if not _are_tokens(surfaces):
             raise ValueError(
                 "sentence surfaces must be a tuple of non-empty tokens with no "
-                f"whitespace: {self.surfaces!r}"
+                f"whitespace: {surfaces!r}"
             )
+        self.__dict__["surfaces"] = surfaces
 
     def __len__(self) -> int:
         return len(self.surfaces)
@@ -141,8 +139,7 @@ def _naive_token(surface: str) -> AnnotatedToken:
     return AnnotatedToken(surface, surface.lower(), pos)
 
 
-@dataclass(frozen=True)
-class NaiveProvider:
+class NaiveProvider(Value):
     """Heuristic annotation with no external resources.
 
     Lemma is the lowercased surface; POS is PUNCT for punctuation tokens,
@@ -150,14 +147,13 @@ class NaiveProvider:
     one ``AnnotatedToken`` while it stays in a bounded cache.
     """
 
-    name: ClassVar[str] = "naive"
+    name = "naive"
 
     def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
         return tuple(map(_naive_token, surfaces))
 
 
-@dataclass(frozen=True)
-class SidecarProvider:
+class SidecarProvider(Value):
     """Annotation read from a companion file produced by an external tagger.
 
     The file holds one token per line as ``surface<TAB>lemma<TAB>pos`` with a
@@ -166,8 +162,12 @@ class SidecarProvider:
     the earlier one. Equal rows share one ``AnnotatedToken``.
     """
 
-    annotations: Mapping[tuple[str, ...], tuple[AnnotatedToken, ...]]
-    name: ClassVar[str] = "sidecar"
+    name = "sidecar"
+
+    def __init__(
+        self, annotations: Mapping[tuple[str, ...], tuple[AnnotatedToken, ...]]
+    ) -> None:
+        self.__dict__["annotations"] = annotations
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "SidecarProvider":

@@ -129,6 +129,14 @@ def test_flags_belong_to_their_commands(pairs_file, tmp_path, capsys):
     assert "naive provider takes no annotations file" in capsys.readouterr().err
 
 
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's ``editspan``."""
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
     # the import costs every command's start, so a serial run goes without it
     code = (
@@ -138,14 +146,31 @@ def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
         f"assert editspan.cli.main(['extract', {pairs_file!r}, '--jobs', '1']) == 0\n"
         "assert 'multiprocessing' not in sys.modules, 'after --jobs 1'\n"
     )
-    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
+    result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [SCHOLARS_SPANS, CASH_SPANS]
+
+
+def test_commands_start_without_dataclasses_or_inspect(tmp_path):
+    # `dataclasses` pulls in `inspect`, which costs every command's start;
+    # -S keeps out whatever `site` would import
+    paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
+    score = ["score", paths["sources"], paths["spans"], paths["targets"]]
+    build = [a.format(out=tmp_path / "out.jsonl", **paths) for a in _DATASET_ARGV]
+    code = (
+        "import sys\n"
+        "import editspan.cli\n"
+        "def check(when):\n"
+        "    loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "    assert not loaded, f'{loaded} {when}'\n"
+        "check('on import')\n"
+        f"assert editspan.cli.main({score!r}) == 0\n"
+        "check('after score')\n"
+        f"assert editspan.cli.main({build + ['--jobs', '1']!r}) == 0\n"
+        "check('after build-dataset')\n"
+    )
+    result = _run_python("-S", "-c", code)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -294,6 +319,28 @@ def test_score_sidecar_without_the_hypothesis_output_is_a_data_error(tmp_path, c
     out = capsys.readouterr()
     assert out.out == ""
     assert "no sidecar annotations for sentence: 'a x c'" in out.err
+
+
+def test_score_counts_a_runaway_hypothesis_as_not_agreeing(tmp_path, capsys):
+    # a 60,000-token repetition loop makes the hypothesis's result too long to
+    # align within the cell budget; that pair does not agree, the rest score
+    source = " ".join(f"w{i}" for i in range(20))
+    sources = _write(tmp_path / "src.txt", f"{source}\n{source}\n")
+    loop = " ".join(["x"] * 60000)
+    spans = _write(tmp_path / "spans.txt", f"20 20 {loop}\n20 20 .\n")
+    targets = _write(tmp_path / "tgt.txt", f"{source} .\n{source} .\n")
+    assert main(["score", sources, spans, targets]) == 0
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert list(report) == [
+        "pairs", "agreement_rate", "mean_ratio", "precision", "recall", "f05",
+        "ignored_fragments",
+    ]
+    assert (report["pairs"], report["agreement_rate"], report["precision"]) == (2, 0.5, 0.5)
+    assert out.err == (
+        f"{spans}: line 1: the hypothesis's result is too long to align; "
+        "counted as not agreeing\n"
+    )
 
 
 def test_score_line_count_mismatch(tmp_path, capsys):

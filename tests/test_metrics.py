@@ -19,12 +19,14 @@ from conftest import (
     SCHOLARS_TGT,
     random_pairs,
 )
+from editspan import alignment
 from editspan.alignment import extract_spans
 from editspan.codec import EditScript, EditSpan, parse, serialize
-from editspan.errors import DataError
+from editspan.errors import BudgetError, DataError
 from editspan.metrics import (
     CompressionStat,
     EditScore,
+    PairStats,
     agreement,
     compression,
     edit_f05,
@@ -240,6 +242,20 @@ def test_pair_stats_annotates_the_source_once_and_reuses_the_gold_script():
     stats = pair_stats(src, "0 1", gold, provider)
     assert stats.agree is True
     assert provider.calls == 3  # source, gold target, and the hypothesis's result
+
+
+def test_pair_stats_counts_a_hypothesis_past_the_budget_as_not_agreeing(monkeypatch):
+    src, gold = tokenize("a b c"), tokenize("a b c d")
+    # "a b c d" needs a first band of 4 x 4 cells; "a b c x x x x x x" needs 4 x 9
+    monkeypatch.setattr(alignment, "MAX_BAND_CELLS", 16)
+    stats = pair_stats(src, "3 3 x x x x x x", gold)
+    assert stats == PairStats(
+        agree=False, ratio=8 / 4, tp=0, fp=1, fn=1, ignored=0, over_budget=True
+    )
+    assert pair_stats(src, "3 3 d", gold).over_budget is False
+    # a gold target past the budget is the corpus's, so it stays an error
+    with pytest.raises(BudgetError, match="3 x 9 tokens needs a band of 36 cells"):
+        pair_stats(src, "None", tokenize("a b c x x x x x x"))
 
 
 def test_score_corpus_counts_ignored_fragments():
