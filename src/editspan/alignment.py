@@ -14,7 +14,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from editspan._value import Value
 from editspan.codec import EditScript, EditSpan, apply_edits
@@ -135,6 +135,10 @@ class OpKind(Enum):
     DEL = "del"
     TRANS = "trans"
 
+    # Enum's own __hash__ hashes the name in Python code; a member is a
+    # singleton equal only to itself, so its identity hash will do
+    __hash__ = object.__hash__
+
 
 class AlignOp(NamedTuple):
     """One alignment operation covering half-open token ranges on both sides."""
@@ -211,64 +215,50 @@ def sub_cost(
 ) -> float:
     """Substitution cost between two annotated tokens.
 
-    Zero for identical surfaces; otherwise the discounted, clamped base cost.
+    Zero for identical surfaces; otherwise the base cost less the lemma, POS
+    and character-similarity discounts, in that order, raised to ``sub_floor``.
     """
-    if a.surface == b.surface:
+    sa, sb = a.surface, b.surface
+    if sa == sb:
         return 0.0
-    return _price_sub(a, b, weights or DEFAULT_WEIGHTS, 0.0, math.inf)
-
-
-def _price_sub(
-    a: AnnotatedToken, b: AnnotatedToken, w: CostWeights, diag: float, cap: float
-) -> Optional[float]:
-    """``sub_cost`` of two different surfaces, or ``None`` if ``diag`` plus it exceeds ``cap``.
-
-    Before the character distance, the same steps run with the surface length
-    difference in its place, which is never larger: ``diag`` plus that lower
-    bound exceeding ``cap`` rules SUB out without the distance (README, "Aligner").
-    """
+    w = weights or DEFAULT_WEIGHTS
     cost = w.base_sub
     if a.lemma == b.lemma:
         cost -= w.w_lemma
     if a.pos == b.pos:
         cost -= w.w_pos
-    w_char = w.w_char
-    sa, sb = a.surface, b.surface
-    na, nb = len(sa), len(sb)
-    longest = na if na > nb else nb
-    # with w_char == 0 the subtracted term is exactly 0.0
-    if diag + (cost - w_char * (1.0 - abs(na - nb) / longest)) > cap:
-        return None
-    if w_char:
-        cost -= w_char * (1.0 - char_levenshtein(sa, sb) / longest)
+    if w.w_char:
+        cost -= w.w_char * (1.0 - char_levenshtein(sa, sb) / max(len(sa), len(sb)))
     # every discount is non-negative, so only the floor can bind
-    if cost < w.sub_floor:
-        return w.sub_floor
-    return cost
+    return w.sub_floor if cost < w.sub_floor else cost
 
 
 def _fill_band(
     src: Sequence[AnnotatedToken],
     tgt: Sequence[AnnotatedToken],
     w: CostWeights,
-) -> tuple[list[list[Optional[OpKind]]], int, int, int, float]:
-    """The band fill ``align`` and span extraction share: ``(back, n, m, lo, total)``.
+) -> tuple[list, int, int, int, float, Callable[[], object]]:
+    """The band fill ``align`` and span extraction share: ``(back, n, m, lo, total, fill)``.
 
     ``n`` and ``m`` are the source and target lengths before the common
     surface suffix, ``back[i]`` holds the last op of the best path to each
     cell of row ``i <= n`` from column ``max(0, i + lo)`` (``None`` at the
-    origin), and ``total`` is the alignment's cost.
+    origin), and ``total`` is the alignment's cost. The rows of the common
+    surface prefix after row 0 are ``None`` until ``fill()`` fills them.
     """
-    MATCH, SUB, TRANS, DEL, INS = OpKind.MATCH, OpKind.SUB, OpKind.TRANS, OpKind.DEL, OpKind.INS
     t_surf = [a.surface for a in tgt]
     # The common surface suffix always aligns as MATCH ops (README, "Aligner"),
-    # so the table covers only what precedes it. A prefix trim is not exact.
+    # so the table covers only what precedes it. A prefix trim is not exact,
+    # but the rows of the common prefix cost known sums, so they are filled
+    # only if the walk needs their backpointers.
     n, m = len(src), len(tgt)
     while n and m and src[n - 1].surface == t_surf[m - 1]:
         n -= 1
         m -= 1
-    ins_c, del_c, trans_c, floor = w.insert_cost, w.delete_cost, w.transpose_cost, w.sub_floor
-    inf = math.inf
+    p = 0
+    while p < n and p < m and src[p].surface == t_surf[p]:
+        p += 1
+    ins_c, del_c = w.insert_cost, w.delete_cost
     d = m - n
     # A path through a cell off band k takes the |d| one-way steps every path
     # takes plus k + 1 insert-delete excursions; at k >= min(n, m) the band
@@ -289,88 +279,141 @@ def _fill_band(
         # Cell (i, j) of row i sits at index j - i - lo, so its diagonal
         # neighbour (i-1, j-1) and transposition source (i-2, j-2) share its
         # index in their rows and (i-1, j) sits one to the right. The extra
-        # last slot, like every slot off the table, stays infinite.
-        width = hi - lo + 2
-        prev = [inf] * width
-        prev[-lo] = 0.0
-        for j in range(1, min(m, hi) + 1):
-            prev[j - lo] = prev[j - 1 - lo] + ins_c
-        back: list[list[Optional[OpKind]]] = [[None] + [INS] * min(m, hi)]
-        prev2 = prev
-        sp: Optional[str] = None  # the previous source surface
-        for i in range(1, n + 1):
-            a = src[i - 1]
-            sa = a.surface
-            off = i + lo  # column of index 0 in this row
-            row = [inf] * width
-            if off <= 0:
-                left = row[-off] = prev[1 - off] + del_c
-                brow: list[Optional[OpKind]] = [DEL]
-                first = 1
-            else:
-                left = inf
-                brow = []
-                first = off
-            last = min(m, i + hi)
-            tp = t_surf[first - 2] if first > 1 else None  # the previous target surface
-            for t, b, tb in zip(
-                range(first - off, last - off + 1), tgt[first - 1:last], t_surf[first - 1:last]
-            ):
-                diag = prev[t]
-                dl = prev[t + 1] + del_c
-                il = left + ins_c
-                if sa == tb:
-                    # a transposition here would swap equal tokens: dearer than two matches
-                    best, bop = diag, MATCH
-                else:
-                    # SUB costs at least sub_floor; where DEL or INS is cheaper
-                    # than that, SUB cannot win and its cost is not needed
-                    best, bop = diag + floor, SUB
-                    if best > dl or best > il:
-                        best = inf
-                    else:
-                        c = _price_sub(a, b, w, diag, dl if dl < il else il)
-                        best = inf if c is None else diag + c
-                    if sa == tp and sp == tb:
-                        c = prev2[t] + trans_c
-                        if c < best:
-                            best, bop = c, TRANS
-                if dl < best:
-                    best, bop = dl, DEL
-                if il < best:
-                    best, bop = il, INS
-                row[t] = best
-                brow.append(bop)
-                left = best
-                tp = tb
-            back.append(brow)
-            prev2, prev = prev, row
-            sp = sa
-        total = prev[m - n - lo]
+        # last slot stays infinite. Every row of the common prefix costs the
+        # DEL chain left of the diagonal and the INS chain right of it, each
+        # summed from 0.0 as the fill would (README, "Aligner").
+        chain = [math.inf] * (hi - lo + 2)
+        chain[-lo] = c = 0.0
+        for t in range(1 - lo, hi - lo + 1):
+            chain[t] = c = c + ins_c
+        c = 0.0
+        for t in range(-lo - 1, -1, -1):
+            chain[t] = c = c + del_c
+        back: list = [[None] + [OpKind.INS] * min(m, hi)] + [None] * n
+        total = _fill_rows(src, tgt, t_surf, w, m, chain, lo, p + 1, n, back)[m - n - lo]
         # Accept when every path leaving the band costs more than the band's
         # result plus the margin. Otherwise the smallest band that passes this
         # test for this result is final, as a wider band's result is no larger.
         limit = total + total * _BAND_MARGIN
         if k >= whole or gap + (k + 1) * excursion > limit:
-            return back, n, m, lo, total
+            return back, n, m, lo, total, lambda: _fill_rows(
+                src, tgt, t_surf, w, m, chain, lo, 1, p, back
+            )
         while k < whole and gap + (k + 1) * excursion <= limit:
             k += 1
 
 
+def _fill_rows(
+    src: Sequence[AnnotatedToken], tgt: Sequence[AnnotatedToken], t_surf: list[str],
+    w: CostWeights, m: int, chain: list[float], lo: int, first: int, last: int, back: list,
+) -> list[float]:
+    """Fill rows ``first..last`` of the band from diagonal ``lo`` into ``back``;
+    return row ``last``'s costs.
+
+    Rows ``first - 1`` and ``first - 2`` lie in the common prefix and cost
+    ``chain``. A cell reads no slot off the table but the extra last one, so
+    ``chain``'s slots off the table, which are not infinite, are never read.
+    """
+    MATCH, SUB, TRANS, DEL, INS = OpKind.MATCH, OpKind.SUB, OpKind.TRANS, OpKind.DEL, OpKind.INS
+    ins_c, del_c, trans_c, floor = w.insert_cost, w.delete_cost, w.transpose_cost, w.sub_floor
+    base, w_lemma, w_pos, w_char = w.base_sub, w.w_lemma, w.w_pos, w.w_char
+    inf = math.inf
+    width = len(chain)
+    hi = lo + width - 2
+    prev = prev2 = chain
+    sp = src[first - 2].surface if first > 1 else None  # the previous source surface
+    for i in range(first, last + 1):
+        a = src[i - 1]
+        sa, la, pa = a.surface, a.lemma, a.pos
+        na = len(sa)
+        off = i + lo  # column of index 0 in this row
+        row = [inf] * width
+        if off <= 0:
+            left = row[-off] = prev[1 - off] + del_c
+            brow: list[Optional[OpKind]] = [DEL]
+            j0 = 1
+        else:
+            left = inf
+            brow = []
+            j0 = off
+        j1 = min(m, i + hi)
+        tp = t_surf[j0 - 2] if j0 > 1 else None  # the previous target surface
+        for t, b, tb in zip(range(j0 - off, j1 - off + 1), tgt[j0 - 1:j1], t_surf[j0 - 1:j1]):
+            diag = prev[t]
+            dl = prev[t + 1] + del_c
+            il = left + ins_c
+            if sa == tb:
+                # a transposition here would swap equal tokens: dearer than two matches
+                best, bop = diag, MATCH
+            else:
+                # SUB costs at least sub_floor; where DEL or INS is cheaper
+                # than that, SUB cannot win and its cost is not needed
+                best, bop = diag + floor, SUB
+                cap = dl if dl < il else il
+                if best > cap:
+                    best = inf
+                else:
+                    # sub_cost's steps, first with the length difference in
+                    # place of the character distance: a lower bound that
+                    # rules SUB out without the distance (README, "Aligner")
+                    c = base
+                    if la == b.lemma:
+                        c -= w_lemma
+                    if pa == b.pos:
+                        c -= w_pos
+                    nb = len(tb)
+                    longest = na if na > nb else nb
+                    # with w_char == 0 the subtracted term is exactly 0.0
+                    if diag + (c - w_char * (1.0 - abs(na - nb) / longest)) > cap:
+                        best = inf
+                    else:
+                        if w_char:
+                            c -= w_char * (1.0 - char_levenshtein(sa, tb) / longest)
+                        best = diag + (floor if c < floor else c)
+                if sa == tp and sp == tb:
+                    c = prev2[t] + trans_c
+                    if c < best:
+                        best, bop = c, TRANS
+            if dl < best:
+                best, bop = dl, DEL
+            if il < best:
+                best, bop = il, INS
+            row[t] = best
+            brow.append(bop)
+            left = best
+            tp = tb
+        back[i] = brow
+        prev2, prev = prev, row
+        sp = sa
+    return prev
+
+
 def _walk(
-    back: list[list[Optional[OpKind]]], n: int, lo: int, i: int, j: int
+    back: list, n: int, lo: int, i: int, j: int, fill: Callable[[], object]
 ) -> Iterator[tuple[OpKind, int, int]]:
     """Walk ``_fill_band``'s table back from cell ``(i, j)`` to the origin.
 
     Yields ``(kind, i, j)`` for each step: the last op of the best path to
-    cell ``(i, j)``. Rows past ``n`` are the common suffix, all MATCH.
+    cell ``(i, j)``. Rows past ``n`` are the common suffix, all MATCH. A row
+    of the common prefix is MATCH on the diagonal; off it, ``fill`` fills the
+    prefix rows first.
     """
+    MATCH = OpKind.MATCH
     while i or j:
-        kind = back[i][j - max(0, i + lo)] if i <= n else OpKind.MATCH
+        if i > n:
+            kind = MATCH
+        elif back[i] is None and i == j:  # the common prefix's diagonal
+            break
+        else:
+            if back[i] is None:
+                fill()
+            kind = back[i][j - max(0, i + lo)]
         yield kind, i, j
         di, dj = _STEP[kind]
         i -= di
         j -= dj
+    for k in range(i, 0, -1):
+        yield MATCH, k, k
 
 
 def align(
@@ -392,9 +435,9 @@ def align(
         BudgetError: the band to fill, sized as rows times its widest row, is
             larger than ``MAX_BAND_CELLS``.
     """
-    back, n, _, lo, total = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
+    back, n, _, lo, total, fill = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
     ops: list[AlignOp] = []
-    for kind, i, j in _walk(back, n, lo, len(src), len(tgt)):
+    for kind, i, j in _walk(back, n, lo, len(src), len(tgt), fill):
         di, dj = _STEP[kind]
         ops.append(AlignOp(kind, i - di, i, j - dj, j))
     ops.reverse()
@@ -453,22 +496,25 @@ def _extract_annotated(
     per maximal run of non-MATCH steps: the spans ``merge_ops`` would give.
     """
     w = weights or DEFAULT_WEIGHTS
-    back, n, m, lo, _ = _fill_band(src_annot, annotate(tgt, provider), w)
+    back, n, m, lo, _, fill = _fill_band(src_annot, annotate(tgt, provider), w)
     MATCH = OpKind.MATCH
     surfaces = tgt.surfaces
+    # Each run is a nonempty slice of the tiling walk, so its span changes
+    # something, its replacement is target tokens, and the spans are disjoint.
+    span = EditSpan._trusted
     spans: list[EditSpan] = []
     run_i = -1  # the source end of the current edit run, or -1 outside one
-    for kind, i, j in _walk(back, n, lo, n, m):
+    for kind, i, j in _walk(back, n, lo, n, m, fill):
         if kind is MATCH:
             if run_i >= 0:
-                spans.append(EditSpan(i, run_i, surfaces[j:run_j]))
+                spans.append(span(start=i, end=run_i, replacement=surfaces[j:run_j]))
                 run_i = -1
         elif run_i < 0:
             run_i, run_j = i, j
     if run_i >= 0:
-        spans.append(EditSpan(0, run_i, surfaces[:run_j]))
+        spans.append(span(start=0, end=run_i, replacement=surfaces[:run_j]))
     spans.reverse()
-    return EditScript(tuple(spans), len(src_annot))
+    return EditScript._trusted(spans=tuple(spans), source_len=len(src_annot))
 
 
 def canonicalize(

@@ -174,14 +174,17 @@ def parse(text: str, source_len: int) -> ParseReport:
         ):
             notes.append(f"discarded fragment {idx}: overlaps an earlier span: {shown!r}")
             continue
-        accepted.append(EditSpan(start, end, replacement))
+        # checked above; the replacement is whitespace-split tokens
+        accepted.append(EditSpan._trusted(start=start, end=end, replacement=replacement))
         taken[start:max(end, start + 1)] = b"\1" * max(end - start, 1)
         at = start + 1
         while at < len(starts):
             starts[at] += 1
             at += at & -at
     accepted.sort(key=attrgetter("start"))
-    return ParseReport(EditScript(tuple(accepted), source_len), tuple(notes))
+    # the tests above leave spans in range, with distinct starts and no overlap
+    script = EditScript._trusted(spans=tuple(accepted), source_len=source_len)
+    return ParseReport(script, tuple(notes))
 
 
 def apply_edits(script: EditScript, src: Sentence) -> Sentence:
@@ -204,4 +207,5 @@ def apply_edits(script: EditScript, src: Sentence) -> Sentence:
         surfaces += span.replacement
         at = span.end
     surfaces += source[at:]
-    return Sentence(tuple(surfaces))
+    # source surfaces and span replacements were checked when they were built
+    return Sentence._trusted(surfaces=tuple(surfaces))

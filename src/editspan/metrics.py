@@ -72,8 +72,15 @@ def agreement(
     provider=None,
     weights: Optional[CostWeights] = None,
 ) -> bool:
-    """True iff ``hyp`` is exactly what extraction would produce for its own effect."""
-    return hyp.spans == canonicalize(hyp, src, provider, weights).spans
+    """True iff ``hyp`` is exactly what extraction would produce for its own effect.
+
+    A hypothesis whose result is past the alignment budget, such as a
+    repetition loop, does not agree, as in ``pair_stats``.
+    """
+    try:
+        return hyp.spans == canonicalize(hyp, src, provider, weights).spans
+    except BudgetError:
+        return False
 
 
 class PairStats(Value):

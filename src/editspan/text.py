@@ -110,7 +110,8 @@ class Sentence(Value):
 
 def tokenize(text: str) -> Sentence:
     """Split on runs of whitespace; empty input yields an empty sentence."""
-    return Sentence(tuple(text.split()))
+    # str.split() yields only non-empty tokens free of whitespace
+    return Sentence._trusted(surfaces=tuple(text.split()))
 
 
 def detokenize(sentence: Sentence) -> str:
@@ -160,6 +161,10 @@ class SidecarProvider(Value):
     blank line between sentences. Sentences are looked up by their exact
     surface sequence; when a sentence occurs twice, its later block replaces
     the earlier one. Equal rows share one ``AnnotatedToken``.
+
+    The annotations are checked once, when the provider is built: ``from_file``
+    checks each row as it reads it, and a mapping is checked as ``annotate``
+    checks other providers' output.
     """
 
     name = "sidecar"
@@ -167,6 +172,8 @@ class SidecarProvider(Value):
     def __init__(
         self, annotations: Mapping[tuple[str, ...], tuple[AnnotatedToken, ...]]
     ) -> None:
+        for surfaces, annotated in annotations.items():
+            _check_annotations(self.name, surfaces, annotated)
         self.__dict__["annotations"] = annotations
 
     @classmethod
@@ -198,7 +205,8 @@ class SidecarProvider(Value):
             block.append(token)
         if block:
             mapping[tuple(t.surface for t in block)] = tuple(block)
-        return cls(mapping)
+        # each row was checked above, and is keyed by its own surfaces
+        return cls._trusted(annotations=mapping)
 
     def annotate(self, surfaces: Sequence[str]) -> tuple[AnnotatedToken, ...]:
         if not surfaces:
@@ -237,7 +245,8 @@ def annotate(
 
     The provider may be an instance or a registered name. Each annotation must
     carry its token's surface, a non-empty lemma and a tag from ``POS_TAGS``,
-    so a misbehaving provider fails loudly.
+    so a misbehaving provider fails loudly. The built-in providers' output is
+    valid by construction, so only other providers' output is checked here.
     """
     if provider is None:
         provider = NaiveProvider()
@@ -245,15 +254,22 @@ def annotate(
         provider = make_provider(provider)
     surfaces = sentence.surfaces
     annotated = provider.annotate(surfaces)
+    # a NaiveProvider's tokens are valid, and a SidecarProvider's were checked when built
+    if provider.__class__ not in (NaiveProvider, SidecarProvider):
+        _check_annotations(provider.name, surfaces, annotated)
+    return annotated
+
+
+def _check_annotations(name: str, surfaces: Sequence[str], annotated: Sequence) -> None:
+    """Raise ``ValueError`` unless ``annotated`` is one valid annotation per surface."""
     if len(annotated) != len(surfaces) or any(
         a.surface != s or not a.lemma or a.pos not in POS_TAGS
         for a, s in zip(annotated, surfaces)
     ):
         raise ValueError(
-            f"provider {provider.name!r} did not annotate tokens one-to-one "
+            f"provider {name!r} did not annotate tokens one-to-one "
             "with a non-empty lemma and a known POS tag"
         )
-    return annotated
 
 
 def parse_pair_line(line: str, lineno: int = 0) -> tuple[str, str]:

@@ -3,7 +3,8 @@
 Each function here is the plain, obviously-correct version of something
 ``src/editspan`` now does faster: the full alignment dynamic program with no
 trimming, band or cost cache, the substitution cost through a similarity helper
-and ``char_levenshtein``, the merge of edit runs through a run buffer, span
+and ``char_levenshtein``, the SUB pricing with its cut-off that the band fill
+does inline, the merge of edit runs through a run buffer, span
 extraction through per-token ops and ``merge_ops``, the two-row character
 Levenshtein, the per-character ``char_class``, the naive provider that builds a
 fresh token for every surface, the comma-by-comma fragment split,
@@ -104,6 +105,34 @@ def reference_discounted_sub(
     if w.w_char:
         cost -= w.w_char * similarity
     return min(max(cost, w.sub_floor), w.base_sub)
+
+
+def reference_price_sub(
+    a: AnnotatedToken, b: AnnotatedToken, w: CostWeights, diag: float, cap: float
+) -> Optional[float]:
+    """The SUB pricing the band fill does inline: ``sub_cost`` of two different
+    surfaces, or ``None`` if ``diag`` plus it exceeds ``cap``.
+
+    Before the character distance, the same steps run with the surface length
+    difference in its place, which is never larger: ``diag`` plus that lower
+    bound exceeding ``cap`` rules SUB out without the distance.
+    """
+    cost = w.base_sub
+    if a.lemma == b.lemma:
+        cost -= w.w_lemma
+    if a.pos == b.pos:
+        cost -= w.w_pos
+    w_char = w.w_char
+    sa, sb = a.surface, b.surface
+    na, nb = len(sa), len(sb)
+    longest = na if na > nb else nb
+    if diag + (cost - w_char * (1.0 - abs(na - nb) / longest)) > cap:
+        return None
+    if w_char:
+        cost -= w_char * (1.0 - char_levenshtein(sa, sb) / longest)
+    if cost < w.sub_floor:
+        return w.sub_floor
+    return cost
 
 
 # backpointer codes, listed in tie-break preference order

@@ -30,7 +30,6 @@ from editspan.alignment import (
     CostWeights,
     OpKind,
     _char_distance_cached,
-    _price_sub,
     align,
     char_levenshtein,
     extract_spans,
@@ -47,6 +46,7 @@ from reference import (
     reference_discounted_sub,
     reference_extract_spans,
     reference_merge_ops,
+    reference_price_sub,
 )
 
 
@@ -172,7 +172,7 @@ def test_price_sub_is_sub_cost_or_none_only_past_the_cap():
             cap = rng.choice((
                 diag + cost + rng.uniform(-0.3, 0.3), diag + cost, rng.uniform(-10.0, 10.0),
             ))
-            got = _price_sub(a, b, w, diag, cap)
+            got = reference_price_sub(a, b, w, diag, cap)
             if got is None:
                 assert diag + cost > cap, (a, b, w, diag, cap)
                 ruled_out += 1
@@ -437,6 +437,26 @@ def test_align_matches_reference_dp(
         got, want = align(src, tgt, weights), reference_align(src, tgt, weights)
         if got != want or merge_ops(got) != reference_merge_ops(want):
             mismatches.append((src, tgt))
+    assert mismatches == []
+
+
+# Weights at which a float sum absorbs a whole transposition: a cell of a
+# common prefix's rows then ties TRANS with the INS or DEL chain, and the
+# tie-breaks there decide the ops.
+ABSORBING = {
+    "insert-1e17": CostWeights(insert_cost=1e17, transpose_cost=1e-17, sub_floor=1e-18),
+    "delete-1e17": CostWeights(delete_cost=1e17, transpose_cost=1e-17, sub_floor=1e-18),
+}
+
+
+@pytest.mark.parametrize("weights", ABSORBING.values(), ids=ABSORBING)
+def test_align_matches_reference_dp_at_absorbing_weights(weights):
+    mismatches = []
+    for seed, vocab in ((14, ("a", "b")), (15, ("a", "b", "c", "d", "e"))):
+        for src, tgt in _differential_pairs(seed, 4_000, vocab, 12, 4, False):
+            got, want = align(src, tgt, weights), reference_align(src, tgt, weights)
+            if got != want or merge_ops(got) != reference_merge_ops(want):
+                mismatches.append((src, tgt))
     assert mismatches == []
 
 

@@ -258,6 +258,19 @@ def test_pair_stats_counts_a_hypothesis_past_the_budget_as_not_agreeing(monkeypa
         pair_stats(src, "None", tokenize("a b c x x x x x x"))
 
 
+def test_agreement_counts_a_hypothesis_past_the_budget_as_not_agreeing():
+    # a 60,000-token repetition loop appended to a 20-token source
+    src = tokenize(" ".join(f"w{i}" for i in range(20)))
+    hyp_text = "20 20 " + "x " * 60000
+    report = parse(hyp_text, 20)
+    assert report.ignored == 0
+    assert agreement(report.script, src) is False
+    stats = pair_stats(src, hyp_text, tokenize(" ".join(src.surfaces) + " x"))
+    assert (stats.agree, stats.over_budget) == (False, True)
+    # within the budget the rule is unchanged
+    assert agreement(parse("20 20 x", 20).script, src) is True
+
+
 def test_score_corpus_counts_ignored_fragments():
     rows = [(tokenize("a b"), "banana, 0 1 x", tokenize("x b"))]
     report = reduce_stats(pair_stats(*row) for row in rows)

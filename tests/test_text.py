@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+from editspan import text
 from editspan.errors import ConfigError, DataError
 from editspan.text import (
     AnnotatedToken,
@@ -160,6 +161,48 @@ def test_annotated_token_validation():
         with pytest.raises(ValueError):
             annotate(tokenize("cat"), _FixedProvider(*annotated))
     assert annotate(tokenize("cat"), _FixedProvider(AnnotatedToken("cat", "cat", "NOUN")))
+
+
+def test_annotate_checks_every_provider_but_the_built_in_ones(tmp_path, monkeypatch):
+    class Unlemmatized(NaiveProvider):
+        """A subclass may break the rule, so its output is checked."""
+
+        def annotate(self, surfaces):
+            return tuple(AnnotatedToken(s, "", "OTHER") for s in surfaces)
+
+    with pytest.raises(ValueError, match="provider 'naive' did not annotate"):
+        annotate(tokenize("cat"), Unlemmatized())
+    sidecar = tmp_path / "annotations.tsv"
+    sidecar.write_text("a\ta\tDET\nb\tb\tNOUN\n", encoding="utf-8")
+    checked = []
+    monkeypatch.setattr(text, "_check_annotations", lambda *args: checked.append(args))
+    for provider in (None, "naive", NaiveProvider(), SidecarProvider.from_file(sidecar)):
+        annotate(tokenize("a b"), provider)
+    assert checked == []
+    annotate(tokenize("cat"), _FixedProvider(AnnotatedToken("cat", "cat", "NOUN")))
+    assert len(checked) == 1
+
+
+def test_sidecar_from_a_mapping_is_checked_when_built():
+    message = (
+        "provider 'sidecar' did not annotate tokens one-to-one "
+        "with a non-empty lemma and a known POS tag"
+    )
+    cat = AnnotatedToken("cat", "cat", "NOUN")
+    the = {("the",): (AnnotatedToken("the", "the", "DET"),)}
+    for annotated in (
+        (AnnotatedToken("cat", "", "OTHER"),),
+        (AnnotatedToken("cat", "cat", "VERBISH"),),
+        (AnnotatedToken("dog", "dog", "NOUN"),),
+        (),
+        (cat, cat),
+    ):
+        # even a sentence that is never looked up
+        with pytest.raises(ValueError) as excinfo:
+            SidecarProvider({**the, ("cat",): annotated})
+        assert str(excinfo.value) == message
+    provider = SidecarProvider({**the, ("cat",): (cat,)})
+    assert annotate(tokenize("cat"), provider) == (cat,)
 
 
 def test_normalize_pos_aliases_and_unknowns():

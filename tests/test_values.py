@@ -4,7 +4,8 @@ Each type is immutable, builds the same from positional and keyword
 arguments, compares and hashes by its fields against its own class only,
 has a dataclass-style ``repr``, and survives a ``pickle`` round trip (the
 ``--jobs`` pool ships the provider, the weights, ``PairStats`` and
-``DatasetRecord`` between processes).
+``DatasetRecord`` between processes). A value the library builds without its
+checks, because its fields are valid by construction, is the same value.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import pickle
 import pytest
 
 from editspan import dataset
+from editspan import (
+    apply_edits,
+    extract_spans,
+    parse,
+    tokenize,
+)
 from editspan import (
     AnnotatedToken,
     CompressionStat,
@@ -162,3 +169,46 @@ def test_field_name_tuples_match_the_constructors():
     # from_mapping and the dataset reader check keys against these tuples
     assert CostWeights._FIELDS == tuple(vars(CostWeights()))
     assert dataset._FIELDS == tuple(vars(DatasetRecord("", "", "", "gec")))
+
+
+def _sidecar_from_file(tmp_path):
+    path = tmp_path / "annotations.tsv"
+    path.write_text("She\tshe\tPRON\ngo\tgo\tVERB\n\nx\tx\tX\n", encoding="utf-8")
+    return SidecarProvider.from_file(path)
+
+
+# id: builds, from a tmp_path, a value the library constructs without its checks
+TRUSTED = {
+    "tokenize": lambda tmp_path: tokenize(" She  go\tto school . "),
+    "tokenize-empty": lambda tmp_path: tokenize(" \t "),
+    "apply_edits": lambda tmp_path: apply_edits(_SCRIPT, Sentence(tuple("abcde"))),
+    "parse-span": lambda tmp_path: parse("4 4 z, 1 2 goes  on", 5).script.spans[0],
+    "parse-script": lambda tmp_path: parse("4 4 z, 1 2 goes  on, 2 3", 5).script,
+    "parse-report": lambda tmp_path: parse("4 4 z, x, 1 2 goes", 5),
+    "extract-span": lambda tmp_path: extract_spans(
+        tokenize("She go to school"), tokenize("She goes to the school")
+    ).spans[0],
+    "extract-script": lambda tmp_path: extract_spans(
+        tokenize("a b c d"), tokenize("x a c d e")
+    ),
+    "sidecar-from-file": _sidecar_from_file,
+}
+
+
+@pytest.mark.parametrize("build", TRUSTED.values(), ids=TRUSTED)
+def test_trusted_values_are_the_checked_ones(build, tmp_path):
+    value = build(tmp_path)
+    # the same fields, in the same order, through the checked constructor
+    checked = type(value)(**vars(value))
+    assert list(vars(value)) == list(vars(checked))
+    assert value == checked and checked == value
+    assert repr(value) == repr(checked)
+    if not isinstance(value, SidecarProvider):
+        assert hash(value) == hash(checked)
+    for name in vars(value):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    restored = pickle.loads(pickle.dumps(value))
+    assert restored == checked and repr(restored) == repr(checked)
