@@ -44,11 +44,13 @@ _BAND_MARGIN = 1e-6
 class CostWeights(Value):
     """Alignment cost model.
 
-    The base substitution cost is ``insert_cost + delete_cost``; lemma, POS,
-    and character-similarity agreement each subtract a non-negative discount
-    from it, and a result below ``sub_floor`` is raised to it. Substituting one
-    token is therefore never dearer than deleting and inserting, and never
-    free unless the surfaces are identical.
+    Tokens with identical surfaces match at no cost. Substituting one token
+    for another starts from the base cost ``insert_cost + delete_cost`` and
+    subtracts, in this order, ``w_lemma`` if the lemmas agree, ``w_pos`` if
+    the POS tags agree, and ``w_char`` times the surfaces' character
+    similarity, ``1 - char_levenshtein / longer length``; a result below
+    ``sub_floor`` is raised to it. Substituting one token is therefore never
+    dearer than deleting and inserting, and never free.
     """
 
     _FIELDS = (
@@ -210,47 +212,24 @@ def char_levenshtein(a: str, b: str) -> int:
     return _char_distance_cached(a, b)
 
 
-def sub_cost(
-    a: AnnotatedToken, b: AnnotatedToken, weights: Optional[CostWeights] = None
-) -> float:
-    """Substitution cost between two annotated tokens.
-
-    Zero for identical surfaces; otherwise the base cost less the lemma, POS
-    and character-similarity discounts, in that order, raised to ``sub_floor``.
-    """
-    sa, sb = a.surface, b.surface
-    if sa == sb:
-        return 0.0
-    w = weights or DEFAULT_WEIGHTS
-    cost = w.base_sub
-    if a.lemma == b.lemma:
-        cost -= w.w_lemma
-    if a.pos == b.pos:
-        cost -= w.w_pos
-    if w.w_char:
-        cost -= w.w_char * (1.0 - char_levenshtein(sa, sb) / max(len(sa), len(sb)))
-    # every discount is non-negative, so only the floor can bind
-    return w.sub_floor if cost < w.sub_floor else cost
-
-
 def _fill_band(
     src: Sequence[AnnotatedToken],
     tgt: Sequence[AnnotatedToken],
     w: CostWeights,
-) -> tuple[list, int, int, int, float, Callable[[], object]]:
+) -> tuple[list, int, int, int, float, Callable[[int], object]]:
     """The band fill ``align`` and span extraction share: ``(back, n, m, lo, total, fill)``.
 
     ``n`` and ``m`` are the source and target lengths before the common
     surface suffix, ``back[i]`` holds the last op of the best path to each
     cell of row ``i <= n`` from column ``max(0, i + lo)`` (``None`` at the
-    origin), and ``total`` is the alignment's cost. The rows of the common
-    surface prefix after row 0 are ``None`` until ``fill()`` fills them.
+    origin), and ``total`` is the alignment's cost. A row of the common
+    surface prefix after row 0 is ``None`` until ``fill(i)`` fills it.
     """
     t_surf = [a.surface for a in tgt]
     # The common surface suffix always aligns as MATCH ops (README, "Aligner"),
     # so the table covers only what precedes it. A prefix trim is not exact,
-    # but the rows of the common prefix cost known sums, so they are filled
-    # only if the walk needs their backpointers.
+    # but the rows of the common prefix cost known sums, so a row is filled
+    # only if the walk needs its backpointers.
     n, m = len(src), len(tgt)
     while n and m and src[n - 1].surface == t_surf[m - 1]:
         n -= 1
@@ -296,8 +275,8 @@ def _fill_band(
         # test for this result is final, as a wider band's result is no larger.
         limit = total + total * _BAND_MARGIN
         if k >= whole or gap + (k + 1) * excursion > limit:
-            return back, n, m, lo, total, lambda: _fill_rows(
-                src, tgt, t_surf, w, m, chain, lo, 1, p, back
+            return back, n, m, lo, total, lambda i: _fill_rows(
+                src, tgt, t_surf, w, m, chain, lo, i, i, back
             )
         while k < whole and gap + (k + 1) * excursion <= limit:
             k += 1
@@ -353,9 +332,9 @@ def _fill_rows(
                 if best > cap:
                     best = inf
                 else:
-                    # sub_cost's steps, first with the length difference in
-                    # place of the character distance: a lower bound that
-                    # rules SUB out without the distance (README, "Aligner")
+                    # the SUB price of CostWeights, first with the length
+                    # difference in place of the character distance: a lower
+                    # bound that rules SUB out without the distance (README, "Aligner")
                     c = base
                     if la == b.lemma:
                         c -= w_lemma
@@ -389,14 +368,14 @@ def _fill_rows(
 
 
 def _walk(
-    back: list, n: int, lo: int, i: int, j: int, fill: Callable[[], object]
+    back: list, n: int, lo: int, i: int, j: int, fill: Callable[[int], object]
 ) -> Iterator[tuple[OpKind, int, int]]:
     """Walk ``_fill_band``'s table back from cell ``(i, j)`` to the origin.
 
     Yields ``(kind, i, j)`` for each step: the last op of the best path to
     cell ``(i, j)``. Rows past ``n`` are the common suffix, all MATCH. A row
-    of the common prefix is MATCH on the diagonal; off it, ``fill`` fills the
-    prefix rows first.
+    of the common prefix is MATCH on the diagonal; off it, ``fill(i)`` fills
+    that row first.
     """
     MATCH = OpKind.MATCH
     while i or j:
@@ -406,7 +385,7 @@ def _walk(
             break
         else:
             if back[i] is None:
-                fill()
+                fill(i)
             kind = back[i][j - max(0, i + lo)]
         yield kind, i, j
         di, dj = _STEP[kind]

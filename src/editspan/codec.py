@@ -37,6 +37,8 @@ class EditSpan(Value):
     """
 
     def __init__(self, start: int, end: int, replacement: tuple[str, ...] = ()) -> None:
+        if isinstance(replacement, str):  # tuple() would split it into characters
+            raise ValueError(f"replacement must be a sequence of tokens, not {replacement!r}")
         replacement = tuple(replacement)
         if start < 0:
             raise ValueError(f"span start must be non-negative: {start}")

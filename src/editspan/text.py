@@ -13,7 +13,7 @@ from __future__ import annotations
 import unicodedata
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Protocol, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence, Union
 
 from editspan._value import Value
 from editspan.errors import ConfigError, DataError, EditSpanError, PairLineError
@@ -239,19 +239,17 @@ def make_provider(
 
 
 def annotate(
-    sentence: Sentence, provider: Union[AnnotationProvider, str, None] = None
+    sentence: Sentence, provider: Optional[AnnotationProvider] = None
 ) -> tuple[AnnotatedToken, ...]:
-    """Annotate every token of ``sentence`` with the given provider.
+    """Annotate every token of ``sentence`` with ``provider``, by default a ``NaiveProvider``.
 
-    The provider may be an instance or a registered name. Each annotation must
-    carry its token's surface, a non-empty lemma and a tag from ``POS_TAGS``,
-    so a misbehaving provider fails loudly. The built-in providers' output is
-    valid by construction, so only other providers' output is checked here.
+    Each annotation must carry its token's surface, a non-empty lemma and a
+    tag from ``POS_TAGS``, so a misbehaving provider fails loudly. The
+    built-in providers' output is valid by construction, so only other
+    providers' output is checked here.
     """
     if provider is None:
         provider = NaiveProvider()
-    elif isinstance(provider, str):
-        provider = make_provider(provider)
     surfaces = sentence.surfaces
     annotated = provider.annotate(surfaces)
     # a NaiveProvider's tokens are valid, and a SidecarProvider's were checked when built

@@ -6,8 +6,9 @@ import math
 import random
 from typing import Sequence
 
-from editspan.alignment import CostWeights, sub_cost
+from editspan.alignment import CostWeights
 from editspan.text import AnnotatedToken
+from reference import reference_discounted_sub
 
 # insert + replace + delete in one pair
 SCHOLARS_SRC = (
@@ -117,7 +118,11 @@ def exhaustive_min_cost(
         if j < m:
             walk(i, j + 1, acc + weights.insert_cost)
         if i < n and j < m:
-            walk(i + 1, j + 1, acc + sub_cost(src[i], tgt[j], weights))
+            a, b = src[i], tgt[j]
+            sub = 0.0 if a.surface == b.surface else reference_discounted_sub(
+                a.surface, b.surface, a.lemma == b.lemma, a.pos == b.pos, weights
+            )
+            walk(i + 1, j + 1, acc + sub)
         if (
             i + 1 < n
             and j + 1 < m

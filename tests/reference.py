@@ -110,8 +110,8 @@ def reference_discounted_sub(
 def reference_price_sub(
     a: AnnotatedToken, b: AnnotatedToken, w: CostWeights, diag: float, cap: float
 ) -> Optional[float]:
-    """The SUB pricing the band fill does inline: ``sub_cost`` of two different
-    surfaces, or ``None`` if ``diag`` plus it exceeds ``cap``.
+    """The SUB pricing the band fill does inline: ``reference_discounted_sub``
+    of two different surfaces, or ``None`` if ``diag`` plus it exceeds ``cap``.
 
     Before the character distance, the same steps run with the surface length
     difference in its place, which is never larger: ``diag`` plus that lower

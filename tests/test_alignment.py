@@ -35,7 +35,6 @@ from editspan.alignment import (
     extract_spans,
     merge_ops,
     read_kv_config,
-    sub_cost,
 )
 from editspan.codec import EditSpan, apply_edits
 from editspan.errors import ConfigError, DataError
@@ -52,6 +51,12 @@ from reference import (
 
 def _annotated(text: str):
     return annotate(tokenize(text))
+
+
+def sub_cost(a, b, weights=None):
+    # the price the aligner charges: a one-token pair with different surfaces
+    # aligns as one SUB, which costs at most DEL + INS and wins ties
+    return align([a], [b], weights).total_cost
 
 
 def test_char_levenshtein_frozen_values():
@@ -472,6 +477,25 @@ def test_align_matches_reference_dp_on_long_pairs(length):
     assert merge_ops(got) == reference_merge_ops(want)
 
 
+def test_walk_fills_only_the_prefix_rows_it_visits(monkeypatch):
+    filled = []
+    real_fill_rows = alignment_module._fill_rows
+
+    def counting_fill_rows(*args):
+        first, last = args[7:9]
+        filled.append(last - first + 1)
+        return real_fill_rows(*args)
+
+    monkeypatch.setattr(alignment_module, "_fill_rows", counting_fill_rows)
+    words = [f"w{i}" for i in range(200)]
+    src, tgt = tokenize(" ".join(words)), tokenize(" ".join(words + ["new"]))
+    script = extract_spans(src, tgt)
+    # the band has no rows past the 200-token prefix; the walk's INS at its
+    # end leaves the diagonal in row 200 only
+    assert sum(filled) == 1
+    assert script == reference_extract_spans(src, tgt)
+
+
 def test_align_raises_before_filling_a_band_past_the_budget(monkeypatch):
     src, tgt = _annotated("a b c d e"), _annotated("v w x y z")
     monkeypatch.setattr(alignment_module, "MAX_BAND_CELLS", 17)
@@ -610,7 +634,9 @@ def _extraction_pairs(rng: random.Random, count: int):
 def test_extract_spans_matches_merged_alignment(seed, weights, provider):
     rng = random.Random(seed)
     pairs = list(_extraction_pairs(rng, 4_000))
-    if provider == "sidecar":
+    if provider == "naive":
+        provider = NaiveProvider()
+    else:
         # lemmas and tags drawn per sentence, so equal surfaces need not agree
         provider = SidecarProvider({
             sentence.surfaces: tuple(

@@ -299,6 +299,8 @@ def test_edit_span_validation():
         EditSpan(0, 1, ("two words",))
     with pytest.raises(ValueError):
         EditSpan(0, 1, ("",))
+    with pytest.raises(ValueError, match="sequence of tokens"):
+        EditSpan(1, 2, "goes")
 
 
 def test_edit_script_validation():

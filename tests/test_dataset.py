@@ -179,7 +179,8 @@ def test_scan_pair_lines_checks_without_aligning(tmp_path, monkeypatch):
     def no_align(*args):
         raise AssertionError("scan_pair_lines aligned a line")
 
-    monkeypatch.setattr(alignment, "align", no_align)
+    # extraction and ``align`` share one band fill
+    monkeypatch.setattr(alignment, "_fill_band", no_align)
     lines = ["a b\ta c", "no tab", "x\ty", "one\ttwo\tthree"]
     valid, skipped = scan_pair_lines(lines)
     assert valid == ["a b\ta c", "x\ty"]

@@ -133,7 +133,7 @@ def test_naive_provider_shares_one_token_per_surface():
 
 def test_annotate_preserves_tokens():
     sent = tokenize("a b c")
-    annotated = annotate(sent, "naive")
+    annotated = annotate(sent, NaiveProvider())
     assert len(annotated) == 3
     assert tuple(a.surface for a in annotated) == sent.surfaces
 
@@ -176,7 +176,7 @@ def test_annotate_checks_every_provider_but_the_built_in_ones(tmp_path, monkeypa
     sidecar.write_text("a\ta\tDET\nb\tb\tNOUN\n", encoding="utf-8")
     checked = []
     monkeypatch.setattr(text, "_check_annotations", lambda *args: checked.append(args))
-    for provider in (None, "naive", NaiveProvider(), SidecarProvider.from_file(sidecar)):
+    for provider in (None, NaiveProvider(), SidecarProvider.from_file(sidecar)):
         annotate(tokenize("a b"), provider)
     assert checked == []
     annotate(tokenize("cat"), _FixedProvider(AnnotatedToken("cat", "cat", "NOUN")))
