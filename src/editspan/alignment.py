@@ -180,14 +180,17 @@ def _char_distance_cached(a: str, b: str) -> int:
         a, b = b, a  # scan the shorter string: one loop step per character
     if not b:
         return len(a)
-    peq: dict[str, int] = {}
+    # only b's characters are looked up, so only they get a mask; a mask per
+    # character of a would cost memory quadratic in a's distinct characters
+    peq = dict.fromkeys(b, 0)
     for i, c in enumerate(a):
-        peq[c] = peq.get(c, 0) | 1 << i
+        if c in peq:
+            peq[c] |= 1 << i
     mask = (1 << len(a)) - 1
     top = 1 << (len(a) - 1)
     pv, mv, dist = mask, 0, len(a)
     for c in b:
-        eq = peq.get(c, 0)
+        eq = peq[c]
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (mask & ~(xh | pv))
@@ -216,14 +219,16 @@ def _fill_band(
     src: Sequence[AnnotatedToken],
     tgt: Sequence[AnnotatedToken],
     w: CostWeights,
-) -> tuple[list, int, int, int, float, Callable[[int], object]]:
-    """The band fill ``align`` and span extraction share: ``(back, n, m, lo, total, fill)``.
+) -> tuple[Callable[[int, int], Iterator[tuple[OpKind, int, int]]], int, int, float]:
+    """The band fill ``align`` and span extraction share: ``(walk, n, m, total)``.
 
     ``n`` and ``m`` are the source and target lengths before the common
-    surface suffix, ``back[i]`` holds the last op of the best path to each
-    cell of row ``i <= n`` from column ``max(0, i + lo)`` (``None`` at the
-    origin), and ``total`` is the alignment's cost. A row of the common
-    surface prefix after row 0 is ``None`` until ``fill(i)`` fills it.
+    surface suffix, and ``total`` is the alignment's cost. ``walk(i, j)``
+    walks the best path back from cell ``(i, j)`` to the origin, yielding
+    ``(kind, i, j)`` for each step: the last op of the best path to cell
+    ``(i, j)``. Rows past ``n`` are the common suffix, all MATCH. A row of
+    the common prefix is MATCH on the diagonal; off it, the walk fills that
+    row first.
     """
     t_surf = [a.surface for a in tgt]
     # The common surface suffix always aligns as MATCH ops (README, "Aligner"),
@@ -275,11 +280,29 @@ def _fill_band(
         # test for this result is final, as a wider band's result is no larger.
         limit = total + total * _BAND_MARGIN
         if k >= whole or gap + (k + 1) * excursion > limit:
-            return back, n, m, lo, total, lambda i: _fill_rows(
-                src, tgt, t_surf, w, m, chain, lo, i, i, back
-            )
+            break
         while k < whole and gap + (k + 1) * excursion <= limit:
             k += 1
+
+    def walk(i: int, j: int) -> Iterator[tuple[OpKind, int, int]]:
+        MATCH = OpKind.MATCH
+        while i or j:
+            if i > n:
+                kind = MATCH
+            elif back[i] is None and i == j:  # the common prefix's diagonal
+                break
+            else:
+                if back[i] is None:
+                    _fill_rows(src, tgt, t_surf, w, m, chain, lo, i, i, back)
+                kind = back[i][j - max(0, i + lo)]
+            yield kind, i, j
+            di, dj = _STEP[kind]
+            i -= di
+            j -= dj
+        for k in range(i, 0, -1):
+            yield MATCH, k, k
+
+    return walk, n, m, total
 
 
 def _fill_rows(
@@ -367,34 +390,6 @@ def _fill_rows(
     return prev
 
 
-def _walk(
-    back: list, n: int, lo: int, i: int, j: int, fill: Callable[[int], object]
-) -> Iterator[tuple[OpKind, int, int]]:
-    """Walk ``_fill_band``'s table back from cell ``(i, j)`` to the origin.
-
-    Yields ``(kind, i, j)`` for each step: the last op of the best path to
-    cell ``(i, j)``. Rows past ``n`` are the common suffix, all MATCH. A row
-    of the common prefix is MATCH on the diagonal; off it, ``fill(i)`` fills
-    that row first.
-    """
-    MATCH = OpKind.MATCH
-    while i or j:
-        if i > n:
-            kind = MATCH
-        elif back[i] is None and i == j:  # the common prefix's diagonal
-            break
-        else:
-            if back[i] is None:
-                fill(i)
-            kind = back[i][j - max(0, i + lo)]
-        yield kind, i, j
-        di, dj = _STEP[kind]
-        i -= di
-        j -= dj
-    for k in range(i, 0, -1):
-        yield MATCH, k, k
-
-
 def align(
     src: Sequence[AnnotatedToken],
     tgt: Sequence[AnnotatedToken],
@@ -414,9 +409,9 @@ def align(
         BudgetError: the band to fill, sized as rows times its widest row, is
             larger than ``MAX_BAND_CELLS``.
     """
-    back, n, _, lo, total, fill = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
+    walk, _, _, total = _fill_band(src, tgt, weights or DEFAULT_WEIGHTS)
     ops: list[AlignOp] = []
-    for kind, i, j in _walk(back, n, lo, len(src), len(tgt), fill):
+    for kind, i, j in walk(len(src), len(tgt)):
         di, dj = _STEP[kind]
         ops.append(AlignOp(kind, i - di, i, j - dj, j))
     ops.reverse()
@@ -475,7 +470,7 @@ def _extract_annotated(
     per maximal run of non-MATCH steps: the spans ``merge_ops`` would give.
     """
     w = weights or DEFAULT_WEIGHTS
-    back, n, m, lo, _, fill = _fill_band(src_annot, annotate(tgt, provider), w)
+    walk, n, m, _ = _fill_band(src_annot, annotate(tgt, provider), w)
     MATCH = OpKind.MATCH
     surfaces = tgt.surfaces
     # Each run is a nonempty slice of the tiling walk, so its span changes
@@ -483,7 +478,7 @@ def _extract_annotated(
     span = EditSpan._trusted
     spans: list[EditSpan] = []
     run_i = -1  # the source end of the current edit run, or -1 outside one
-    for kind, i, j in _walk(back, n, lo, n, m, fill):
+    for kind, i, j in walk(n, m):
         if kind is MATCH:
             if run_i >= 0:
                 spans.append(span(start=i, end=run_i, replacement=surfaces[j:run_j]))

@@ -382,6 +382,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader is gone (as with ``| head``): stop quietly, with
+        # stdout pointed at os.devnull so the interpreter's last flush cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ConfigError, DataError, OSError) as exc:
         print(f"editspan: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, DataError) else 1

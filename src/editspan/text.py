@@ -27,20 +27,6 @@ POS_TAGS = frozenset({
 _POS_ALIASES = {"PROPN": "NOUN", "AUX": "VERB", "CCONJ": "CONJ", "SCONJ": "CONJ"}
 
 
-def char_class(surface: str) -> str:
-    """Classify a surface as alphabetic, numeric, punctuation, or mixed.
-
-    A class holds when every character has it; the empty surface is alphabetic.
-    """
-    if not surface or surface.isalpha():
-        return "alphabetic"
-    if surface.isdigit():
-        return "numeric"
-    if all(unicodedata.category(c).startswith("P") for c in surface):
-        return "punctuation"
-    return "mixed"
-
-
 def read_lines(
     path: Union[str, Path], error: type[EditSpanError] = DataError
 ) -> Iterator[str]:
@@ -130,11 +116,13 @@ class AnnotationProvider(Protocol):
 
 @lru_cache(maxsize=1 << 16)
 def _naive_token(surface: str) -> AnnotatedToken:
-    cc = char_class(surface)
-    if cc == "punctuation":
-        pos = "PUNCT"
-    elif cc == "numeric":
+    if surface.isdigit():
         pos = "NUM"
+    # no letter is punctuation, so a word skips the per-character walk
+    elif surface and not surface.isalpha() and all(
+        unicodedata.category(c).startswith("P") for c in surface
+    ):
+        pos = "PUNCT"
     else:
         pos = "OTHER"
     return AnnotatedToken(surface, surface.lower(), pos)
@@ -143,9 +131,11 @@ def _naive_token(surface: str) -> AnnotatedToken:
 class NaiveProvider(Value):
     """Heuristic annotation with no external resources.
 
-    Lemma is the lowercased surface; POS is PUNCT for punctuation tokens,
-    NUM for numeric ones, and OTHER for everything else. Equal surfaces share
-    one ``AnnotatedToken`` while it stays in a bounded cache.
+    Lemma is the lowercased surface. POS is NUM when every character is a
+    digit (``str.isdigit``), PUNCT when the surface is non-empty and every
+    character's Unicode category is punctuation (``P*``), and OTHER otherwise.
+    Equal surfaces share one ``AnnotatedToken`` while it stays in a bounded
+    cache.
     """
 
     name = "naive"

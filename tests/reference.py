@@ -6,8 +6,8 @@ trimming, band or cost cache, the substitution cost through a similarity helper
 and ``char_levenshtein``, the SUB pricing with its cut-off that the band fill
 does inline, the merge of edit runs through a run buffer, span
 extraction through per-token ops and ``merge_ops``, the two-row character
-Levenshtein, the per-character ``char_class``, the naive provider that builds a
-fresh token for every surface, the comma-by-comma fragment split,
+Levenshtein, the naive provider that classifies a surface character by character
+and builds a fresh token for every surface, the comma-by-comma fragment split,
 ``pair_stats`` that annotates every sentence and aligns twice, the edit-score
 rates computed together in one function, the dataset mix that samples the
 record lists themselves, and the sidecar loader that keeps every row and builds
@@ -43,7 +43,6 @@ from editspan.text import (
     AnnotatedToken,
     Sentence,
     annotate,
-    char_class,
     normalize_pos,
     read_lines,
 )
@@ -67,7 +66,8 @@ def reference_char_distance(a: str, b: str) -> int:
 
 
 def reference_char_class(surface: str) -> str:
-    """``char_class`` by a walk over every character."""
+    """Classify a surface by a walk over every character: alphabetic, numeric,
+    punctuation or mixed, the first class every character has."""
     if all(c.isalpha() for c in surface):
         return "alphabetic"
     if all(c.isdigit() for c in surface):
@@ -81,7 +81,7 @@ def reference_naive_annotate(surfaces: Sequence[str]) -> tuple[AnnotatedToken, .
     """``NaiveProvider.annotate`` classifying and building a token for every surface."""
     out = []
     for surface in surfaces:
-        cc = char_class(surface)
+        cc = reference_char_class(surface)
         if cc == "punctuation":
             pos = "PUNCT"
         elif cc == "numeric":

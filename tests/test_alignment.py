@@ -6,6 +6,7 @@ import math
 import random
 import string
 import tracemalloc
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,29 @@ def test_char_distance_matches_two_row_reference():
         expected = reference_char_distance(a, b)
         assert distance(a, b) == expected, (a, b)
         assert char_levenshtein(a, b) == char_levenshtein(b, a) == expected, (a, b)
+
+
+def test_char_distance_against_one_character_is_linear_in_the_long_string():
+    # only the scanned string's characters get a bit mask, so no mask of a
+    # million bits is built a bit at a time
+    distance = _char_distance_cached.__wrapped__
+    started = perf_counter()
+    assert distance("a", "x" * 10**6) == 10**6
+    assert perf_counter() - started < 1.0
+
+
+def test_char_distance_keeps_no_mask_per_distinct_character():
+    # a mask for each of the long string's 40,000 distinct characters would
+    # take about 100 MB
+    long = "".join(chr(0x20000 + i) for i in range(40_000))
+    distance = _char_distance_cached.__wrapped__
+    tracemalloc.start()
+    try:
+        assert distance("a", long) == 40_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_sub_cost_identical_surfaces_is_zero():

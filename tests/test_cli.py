@@ -129,12 +129,19 @@ def test_flags_belong_to_their_commands(pairs_file, tmp_path, capsys):
     assert "naive provider takes no annotations file" in capsys.readouterr().err
 
 
-def _run_python(*args):
-    """Run a fresh interpreter that imports this checkout's ``editspan``."""
+def _checkout_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's ``editspan``."""
     src_dir = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return env
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's ``editspan``."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_checkout_env()
+    )
 
 
 def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
@@ -370,9 +377,42 @@ def test_roundtrip_fails_when_wire_format_cannot_carry_the_pair(tmp_path, capsys
     # fragment boundary, so this pair cannot survive serialize -> parse
     path = _write(tmp_path / "pairs.tsv", "a b\ta x , 4 4 b\n")
     assert main(["roundtrip", path]) == 2
-    out = capsys.readouterr().out
-    assert "line 1" in out
-    assert "0/1" in out
+    assert capsys.readouterr().out == (
+        "line 1: serialized spans did not parse back cleanly\n"
+        "roundtrip: 0/1 pair(s) ok\n"
+    )
+
+
+def test_roundtrip_fails_when_spans_parse_back_to_another_edit(tmp_path, capsys):
+    # the spans are "0 1 x , 2 3": two clean fragments, where the comma and
+    # the integers after it were meant as part of the first replacement
+    path = _write(tmp_path / "pairs.tsv", "a b c\tx , 2 3 b c\n")
+    assert main(["roundtrip", path]) == 2
+    assert capsys.readouterr().out == (
+        "line 1: roundtrip mismatch: 'x b' != 'x , 2 3 b c'\n"
+        "roundtrip: 0/1 pair(s) ok\n"
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_ends_the_command_quietly(tmp_path, jobs):
+    # more output than a pipe buffer holds, so a write fails once the
+    # reader has gone
+    pairs = _write(tmp_path / "pairs.tsv", f"a\t{'x' * 1000}\n" * 300)
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "editspan.cli",
+            "extract", pairs, "--jobs", jobs]
+    with open(tmp_path / "stderr.txt", "w+b") as err:
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=err, env=_checkout_env()
+        ) as proc:
+            try:
+                assert proc.stdout.read(5) == b"0 1 x"
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 1
+            finally:
+                proc.kill()
+        err.seek(0)
+        assert err.read() == b""
 
 
 def test_weights_file_changes_extraction(tmp_path, capsys):

@@ -17,7 +17,6 @@ from editspan.text import (
     Sentence,
     SidecarProvider,
     annotate,
-    char_class,
     detokenize,
     make_provider,
     normalize_pos,
@@ -64,7 +63,7 @@ def test_sentence_equality_ignores_raw():
 
 
 @pytest.mark.parametrize(
-    ("surface", "expected"),
+    ("surface", "char_class"),
     [
         ("cat", "alphabetic"),
         ("naïve", "alphabetic"),
@@ -76,35 +75,33 @@ def test_sentence_equality_ignores_raw():
         ("x2", "mixed"),
         ("1.5", "mixed"),
         ("$", "mixed"),
+        ("", "alphabetic"),
     ],
 )
-def test_char_class(surface, expected):
-    assert char_class(surface) == expected
+def test_char_class(surface, char_class):
+    # the naive POS tag: NUM for numeric surfaces, PUNCT for punctuation,
+    # OTHER for the rest, the empty surface among them
+    assert reference_char_class(surface) == char_class
+    pos = {"numeric": "NUM", "punctuation": "PUNCT"}.get(char_class, "OTHER")
+    assert NaiveProvider().annotate([surface]) == (AnnotatedToken(surface, surface.lower(), pos),)
 
 
 def test_char_class_matches_per_character_reference():
-    code_points = [*range(0x10000), *range(0x10000, sys.maxunicode + 1, 16)]
-    assert [char_class(chr(cp)) for cp in code_points] == [
-        reference_char_class(chr(cp)) for cp in code_points
-    ]
-    assert char_class("") == reference_char_class("") == "alphabetic"
     # letters, marks, decimal and other digits, numeric letters, punctuation,
     # symbols, spaces and controls, from several scripts
     pool = "aZéß漢ーँ́09٣²①Ⅷ½.,-…¿「$+©  \t\x00\U0001F600\U00010348\U0001D7D8"
     rng = random.Random(3)
+    surfaces = []
     for _ in range(20_000):
         chars = rng.sample(pool, rng.randint(1, 3))
-        surface = "".join(rng.choice(chars) for _ in range(rng.randint(1, 6)))
-        assert char_class(surface) == reference_char_class(surface), surface
+        surfaces.append("".join(rng.choice(chars) for _ in range(rng.randint(1, 6))))
+    assert NaiveProvider().annotate(surfaces) == reference_naive_annotate(surfaces)
 
 
 def test_naive_provider_fields():
     annotated = annotate(tokenize("Running , 42 x2"), NaiveProvider())
     assert [a.lemma for a in annotated] == ["running", ",", "42", "x2"]
     assert [a.pos for a in annotated] == ["OTHER", "PUNCT", "NUM", "OTHER"]
-    assert [char_class(a.surface) for a in annotated] == [
-        "alphabetic", "punctuation", "numeric", "mixed",
-    ]
 
 
 def test_naive_provider_matches_reference():
