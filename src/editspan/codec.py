@@ -23,7 +23,8 @@ from editspan.text import Sentence, _are_tokens
 
 NONE_SENTINEL = "None"
 
-_INT = re.compile(r"-?\d+")
+# a fragment's head: two whole integer tokens, then the rest of the fragment
+_HEAD = re.compile(r"\s*(-?\d+)\s+(-?\d+)(?!\S)(.*)", re.S)
 # a comma starts a new fragment only when two integers follow it
 _BOUNDARY = re.compile(r",(?=\s*-?\d+\s+-?\d+)")
 
@@ -137,10 +138,12 @@ def parse(text: str, source_len: int) -> ParseReport:
     """Parse serialized span text against a source of ``source_len`` tokens.
 
     Total over arbitrary input. The trimmed string ``None`` is the empty
-    script. Fragments are discarded, with a note each, when they lack two
-    leading integers, their positions fall outside ``[0, source_len]`` or are
-    reversed, they change nothing, or they overlap an earlier surviving span
-    (first in scan order wins). Surviving spans are sorted by (start, end).
+    script. A fragment is discarded at the first check it fails, in this
+    order, with the note ``discarded fragment <idx>: <reason>: '<its first
+    six tokens>'``: ``no leading start/end positions``; ``positions invalid
+    for source length <source_len>`` (outside ``[0, source_len]`` or
+    reversed); ``span changes nothing``; ``overlaps an earlier span`` (first
+    in scan order wins). Surviving spans are sorted by (start, end).
     """
     if source_len < 0:
         raise ValueError(f"source length must be non-negative: {source_len}")
@@ -155,34 +158,31 @@ def parse(text: str, source_len: int) -> ParseReport:
     taken = bytearray(source_len + 1)
     starts = [0] * (source_len + 2)
     for idx, fragment in enumerate(split_fragments(text)):
-        tokens = fragment.split()
-        shown = " ".join(tokens[:6])
-        if len(tokens) < 2 or not _INT.fullmatch(tokens[0]) or not _INT.fullmatch(tokens[1]):
-            notes.append(f"discarded fragment {idx}: no leading start/end positions: {shown!r}")
-            continue
-        start, end = _position(tokens[0], digits), _position(tokens[1], digits)
-        if start is None or end is None or start < 0 or end < start or end > source_len:
-            notes.append(
-                f"discarded fragment {idx}: positions invalid for source length "
-                f"{source_len}: {shown!r}"
-            )
-            continue
-        replacement = tuple(tokens[2:])
-        if start == end and not replacement:
-            notes.append(f"discarded fragment {idx}: span changes nothing: {shown!r}")
-            continue
-        if taken[start] or (
-            end > start + 1 and _starts_before(starts, end) > _starts_before(starts, start)
-        ):
-            notes.append(f"discarded fragment {idx}: overlaps an earlier span: {shown!r}")
-            continue
-        # checked above; the replacement is whitespace-split tokens
-        accepted.append(EditSpan._trusted(start=start, end=end, replacement=replacement))
-        taken[start:max(end, start + 1)] = b"\1" * max(end - start, 1)
-        at = start + 1
-        while at < len(starts):
-            starts[at] += 1
-            at += at & -at
+        head = _HEAD.match(fragment)
+        if head is None:
+            reason = "no leading start/end positions"
+        else:
+            start, end = _position(head[1], digits), _position(head[2], digits)
+            replacement = tuple(head[3].split())
+            if start is None or end is None or start < 0 or end < start or end > source_len:
+                reason = f"positions invalid for source length {source_len}"
+            elif start == end and not replacement:
+                reason = "span changes nothing"
+            elif taken[start] or (
+                end > start + 1 and _starts_before(starts, end) > _starts_before(starts, start)
+            ):
+                reason = "overlaps an earlier span"
+            else:
+                # checked above; the replacement is whitespace-split tokens
+                accepted.append(EditSpan._trusted(start=start, end=end, replacement=replacement))
+                taken[start:max(end, start + 1)] = b"\1" * max(end - start, 1)
+                at = start + 1
+                while at < len(starts):
+                    starts[at] += 1
+                    at += at & -at
+                continue
+        shown = " ".join(fragment.split()[:6])
+        notes.append(f"discarded fragment {idx}: {reason}: {shown!r}")
     accepted.sort(key=attrgetter("start"))
     # the tests above leave spans in range, with distinct starts and no overlap
     script = EditScript._trusted(spans=tuple(accepted), source_len=source_len)

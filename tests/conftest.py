@@ -1,11 +1,14 @@
-"""Shared fixtures: known-good sentence pairs, corpus generators, and oracles."""
+"""Shared fixtures: known-good sentence pairs, corpus generators, oracles, and
+the environment of a fresh interpreter that imports this checkout."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from typing import Sequence
 
+import editspan
 from editspan.alignment import CostWeights
 from editspan.text import AnnotatedToken
 from reference import reference_discounted_sub
@@ -44,6 +47,14 @@ VOCAB = (
     "the", "a", "cat", "dogs", "run", "quickly", "over", "fence",
     ",", ".", "naïve", "café", "4th", "x2", "¿qué?", "…",
 )
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports this checkout's ``editspan``."""
+    src_dir = os.path.dirname(os.path.dirname(editspan.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_pair(

@@ -8,6 +8,7 @@ does inline, the merge of edit runs through a run buffer, span
 extraction through per-token ops and ``merge_ops``, the two-row character
 Levenshtein, the naive provider that classifies a surface character by character
 and builds a fresh token for every surface, the comma-by-comma fragment split,
+the scan-order parse that tests each fragment against every accepted span,
 ``pair_stats`` that annotates every sentence and aligns twice, the edit-score
 rates computed together in one function, the dataset mix that samples the
 record lists themselves, and the sidecar loader that keeps every row and builds
@@ -35,7 +36,7 @@ from editspan.alignment import (
     extract_spans,
     merge_ops,
 )
-from editspan.codec import EditScript, EditSpan, parse
+from editspan.codec import EditScript, EditSpan, ParseReport
 from editspan.dataset import DatasetRecord, MixSpec
 from editspan.errors import DataError
 from editspan.metrics import PairStats, compression, edit_f05
@@ -156,6 +157,72 @@ def reference_split_fragments(text: str) -> list[str]:
             start = pos + 1
     fragments.append(text[start:])
     return fragments
+
+
+_POSITION = re.compile(r"-?\d+")
+
+
+def _reference_position(token: str, source_len: int) -> Optional[int]:
+    """The value of a position token, or None if it has more significant digits
+    than ``source_len``, so it cannot lie in range; a leading zero of any
+    script is not significant, and ``int`` never sees a long string."""
+    magnitude = token.lstrip("-")
+    at = 0
+    while at < len(magnitude) and unicodedata.decimal(magnitude[at]) == 0:
+        at += 1
+    significant = magnitude[at:]
+    if len(significant) > len(str(source_len)):
+        return None
+    value = int(significant or "0")
+    return -value if token.startswith("-") else value
+
+
+def _reference_conflicts(a: EditSpan, b: EditSpan) -> bool:
+    """Two spans clash if they start at one gap or their ranges overlap."""
+    if a.start == b.start:
+        return True
+    lo, hi = (a, b) if a.start < b.start else (b, a)
+    return lo.end > hi.start
+
+
+def reference_parse(text: str, source_len: int) -> ParseReport:
+    """``parse`` as a plain scan: each fragment, split into tokens, is checked
+    in turn for two leading integer tokens, positions in range, a change, and
+    no clash with any span accepted before it; a discarded fragment gets a
+    note naming the first check it fails and showing its first six tokens."""
+    if source_len < 0:
+        raise ValueError(f"source length must be non-negative: {source_len}")
+    if text.strip() == "None":
+        return ParseReport(EditScript((), source_len))
+    notes: list[str] = []
+    accepted: list[EditSpan] = []
+    for idx, fragment in enumerate(reference_split_fragments(text)):
+        tokens = fragment.split()
+        reason = None
+        if (
+            len(tokens) < 2
+            or not _POSITION.fullmatch(tokens[0])
+            or not _POSITION.fullmatch(tokens[1])
+        ):
+            reason = "no leading start/end positions"
+        else:
+            start = _reference_position(tokens[0], source_len)
+            end = _reference_position(tokens[1], source_len)
+            replacement = tuple(tokens[2:])
+            if start is None or end is None or not 0 <= start <= end <= source_len:
+                reason = f"positions invalid for source length {source_len}"
+            elif start == end and not replacement:
+                reason = "span changes nothing"
+            else:
+                span = EditSpan(start, end, replacement)
+                if any(_reference_conflicts(prior, span) for prior in accepted):
+                    reason = "overlaps an earlier span"
+                else:
+                    accepted.append(span)
+        if reason is not None:
+            notes.append(f"discarded fragment {idx}: {reason}: {' '.join(tokens[:6])!r}")
+    spans = tuple(sorted(accepted, key=lambda s: (s.start, s.end)))
+    return ParseReport(EditScript(spans, source_len), tuple(notes))
 
 
 def reference_align(
@@ -303,8 +370,9 @@ def reference_pair_stats(
     provider=None,
     weights: Optional[CostWeights] = None,
 ) -> PairStats:
-    """``pair_stats`` with two full extractions, annotating every sentence each time."""
-    report = parse(hyp_text, len(src))
+    """``pair_stats`` with two full extractions, annotating every sentence each
+    time, over ``reference_parse``."""
+    report = reference_parse(hyp_text, len(src))
     gold_script = extract_spans(src, gold, provider, weights)
     score = edit_f05(report.script, gold_script)
     canonical = canonicalize(report.script, src, provider, weights)

@@ -19,6 +19,7 @@ from conftest import (
     SCHOLARS_SPANS,
     SCHOLARS_SRC,
     SCHOLARS_TGT,
+    checkout_env,
     random_pairs,
 )
 from editspan import alignment, cli
@@ -129,18 +130,10 @@ def test_flags_belong_to_their_commands(pairs_file, tmp_path, capsys):
     assert "naive provider takes no annotations file" in capsys.readouterr().err
 
 
-def _checkout_env() -> dict[str, str]:
-    """The environment for a fresh interpreter that imports this checkout's ``editspan``."""
-    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-    return env
-
-
 def _run_python(*args):
     """Run a fresh interpreter that imports this checkout's ``editspan``."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=_checkout_env()
+        [sys.executable, *args], capture_output=True, text=True, env=checkout_env()
     )
 
 
@@ -403,7 +396,7 @@ def test_closed_stdout_ends_the_command_quietly(tmp_path, jobs):
             "extract", pairs, "--jobs", jobs]
     with open(tmp_path / "stderr.txt", "w+b") as err:
         with subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=err, env=_checkout_env()
+            argv, stdout=subprocess.PIPE, stderr=err, env=checkout_env()
         ) as proc:
             try:
                 assert proc.stdout.read(5) == b"0 1 x"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 
 import pytest
@@ -31,7 +32,7 @@ from editspan.codec import (
 from editspan.alignment import canonicalize
 from editspan.errors import DataError
 from editspan.text import Sentence, detokenize, tokenize
-from reference import reference_split_fragments
+from reference import reference_parse, reference_split_fragments
 
 
 def test_serialize_reference_script():
@@ -204,32 +205,6 @@ def test_parse_positions_past_the_int_digit_limit_are_invalid():
         assert parse(f"-{zeros} 1 y", 3).script.spans == (EditSpan(0, 1, ("y",)),)
 
 
-def _conflicts(a: EditSpan, b: EditSpan) -> bool:
-    """Reference overlap rule: two spans may not start at one gap or overlap."""
-    if a.start == b.start:
-        return True
-    lo, hi = (a, b) if a.start < b.start else (b, a)
-    return lo.end > hi.start
-
-
-def _scan_parse(fragments, source_len):
-    """Oracle: keep each valid fragment that conflicts with no earlier kept one.
-
-    Checks every kept span for every fragment, so it is quadratic; the
-    positions in ``fragments`` are never negative or reversed.
-    """
-    accepted, ignored = [], 0
-    for start, end, replacement in fragments:
-        span = None
-        if end <= source_len and (start < end or replacement):
-            span = EditSpan(start, end, replacement)
-        if span is None or any(_conflicts(prior, span) for prior in accepted):
-            ignored += 1
-        else:
-            accepted.append(span)
-    return tuple(sorted(accepted, key=lambda s: (s.start, s.end))), ignored
-
-
 def test_parse_overlap_matches_scan_oracle():
     rng = random.Random(11)
     for _ in range(3000):
@@ -245,8 +220,82 @@ def test_parse_overlap_matches_scan_oracle():
             replacement = tuple(rng.choice("xyz") for _ in range(rng.randint(0, 2)))
             fragments.append((start, end, replacement))
         text = ", ".join(" ".join((str(s), str(e), *r)) for s, e, r in fragments)
-        report = parse(text, source_len)
-        assert (report.script.spans, report.ignored) == _scan_parse(fragments, source_len), text
+        assert parse(text, source_len) == reference_parse(text, source_len), text
+
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+_DIGITS = (
+    "0123456789",
+    "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+    "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",  # Devanagari
+    "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",  # fullwidth
+)
+_SPACES = (" ", " ", " ", "  ", "\t", "\n", "\u3000", "\x85", "\u2028", "\x1c", "\xa0")
+_WORDS = ("x", "y", "z", "None", ",", "a,b", "2x", "7", "-1", "\x00", "\ud800", "\ufeff")
+_NOT_PARSED = (
+    "", " ", "\t\n", "\u3000\x85", "None", " None ", "None\n", "\u2028None\u3000",
+    "none", "None x", "None, 0 1 x", "NoneNone",
+)
+
+
+def _position_text(rng: random.Random, source_len: int) -> str:
+    """A start or end position: usually in range, else negative, ``-0``, past the
+    source, zero-padded, in other scripts' digits, or past ``int``'s digit limit."""
+    roll = rng.random()
+    if roll < 0.6:
+        return str(rng.randint(0, source_len))
+    if roll < 0.68:
+        return str(rng.randint(-3, -1))
+    if roll < 0.72:
+        return "-" + "0" * rng.randint(1, 3)
+    if roll < 0.8:
+        return str(source_len + rng.randint(1, 12))
+    if roll < 0.88:
+        return "0" * rng.randint(1, 4) + str(rng.randint(0, source_len))
+    digits = rng.choice(_DIGITS)
+    if roll < 0.995:
+        return "".join(digits[int(c)] for c in str(rng.randint(0, source_len)))
+    sign = rng.choice(("", "-"))
+    if rng.random() < 0.5:  # in range once its leading zeros are dropped
+        return sign + digits[0] * _INT_LIMIT + digits[1]
+    return sign + digits[1] * (_INT_LIMIT + 1)
+
+
+def _span_text(rng: random.Random) -> tuple[str, int]:
+    """Random span text and its source length, with duplicate, reversed and
+    zero-width fragments, tokens glued to a position, commas inside
+    replacements, fragments of more than six tokens and non-ASCII whitespace."""
+    source_len = rng.randint(0, 12)
+    if rng.random() < 0.04:
+        return rng.choice(_NOT_PARSED), source_len
+    fragments: list[str] = []
+    for _ in range(rng.randint(1, 8)):
+        if fragments and rng.random() < 0.15:
+            fragments.append(rng.choice(fragments))  # a repeated fragment
+            continue
+        if rng.random() < 0.08:  # no leading positions
+            words = rng.choices(_WORDS + ("1",), k=rng.randint(0, 8))
+            fragments.append(" ".join(words))
+            continue
+        start = _position_text(rng, source_len)
+        # zero-width spans are often no-ops, or sit inside an earlier span
+        end = start if rng.random() < 0.3 else _position_text(rng, source_len)
+        if rng.random() < 0.06:
+            end += rng.choice(("x", ",x", "-", "\u0661", "\x00"))
+        count = rng.choice((0, 0, 1, 1, 2, 3, 5, 6, 7, 9))
+        words = rng.choices(_WORDS, k=count)
+        parts = [start, end, *words]
+        text = "".join(p + rng.choice(_SPACES) for p in parts[:-1]) + parts[-1]
+        fragments.append(rng.choice(("", " ", "\u3000")) + text + rng.choice(("", "", " ")))
+    text = "".join(f + rng.choice((",", ", ", ", ", " ,\t")) for f in fragments[:-1])
+    return text + fragments[-1], source_len
+
+
+def test_parse_matches_reference_on_hostile_span_text():
+    rng = random.Random(18)
+    for _ in range(20_000):
+        text, source_len = _span_text(rng)
+        assert parse(text, source_len) == reference_parse(text, source_len), (text, source_len)
 
 
 def test_parse_many_disjoint_fragments_is_fast():
@@ -390,6 +439,7 @@ def test_parse_is_total_and_accounts_for_fragments(text, source_len):
         fragments = split_fragments(text)
         assert len(report.script.spans) + report.ignored == len(fragments)
     assert report.ignored == len(report.notes)
+    assert report == reference_parse(text, source_len)
 
 
 @given(script=_valid_scripts())
