@@ -169,41 +169,60 @@ _STEP = {
 }
 
 
+# The longest token whose masks are cached per token. Words are far shorter,
+# and a cached token holds at most 64 masks of at most 64 bits each.
+_MASK_CACHE_CUTOFF = 64
+
+
+@lru_cache(maxsize=4096)
+def _token_masks(a: str) -> dict[str, int]:
+    # bit i of masks[c] says a[i] == c
+    masks = {}
+    bit = 1
+    for c in a:
+        masks[c] = masks.get(c, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _char_mask(a: str, c: str) -> int:
+    # masks[c] of _token_masks in time linear in a: the 0/1 digits come from C
+    # string operations, and base 2 lies outside the int-from-str digit limit
+    return int("1".join(map("0".__mul__, map(len, a[::-1].split(c)))), 2)
+
+
 @lru_cache(maxsize=1 << 16)
 def _char_distance_cached(a: str, b: str) -> int:
     # Bit-parallel Levenshtein (Myers 1999, in Hyyrö's global-distance form):
     # bit i of pv/mv says the column delta D[i+1][j] - D[i][j] is +1/-1, and
     # one step of big-int operations advances the whole column by one
-    # character of b. Python ints are unbounded and ~x is negative, so every
-    # vector is masked to len(a) bits; without that they grow by one bit a step.
+    # character of b. No vector is masked to len(a) bits: carries and shifts
+    # move bits only upward and ints act as two's complement, so the low
+    # len(a) bits are those of the masked form, while the bits above grow by
+    # at most one a step. The distance is read once, from the last column:
+    # D[len(a)][len(b)] = len(b) + the +1 deltas - the -1 deltas.
     if len(a) < len(b):
         a, b = b, a  # scan the shorter string: one loop step per character
     if not b:
         return len(a)
-    # only b's characters are looked up, so only they get a mask; a mask per
-    # character of a would cost memory quadratic in a's distinct characters
-    peq = dict.fromkeys(b, 0)
-    for i, c in enumerate(a):
-        if c in peq:
-            peq[c] |= 1 << i
-    mask = (1 << len(a)) - 1
-    top = 1 << (len(a) - 1)
-    pv, mv, dist = mask, 0, len(a)
+    if len(a) <= _MASK_CACHE_CUTOFF:
+        peq = _token_masks(a)
+    else:
+        # only b's characters are looked up, so only they get a mask; a mask
+        # per character of a would cost memory quadratic in a's distinct ones
+        peq = {c: _char_mask(a, c) for c in set(b)}
+    pv, mv = -1, 0
     for c in b:
-        eq = peq[c]
+        eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (mask & ~(xh | pv))
+        ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & top:
-            dist += 1
-        elif mh & top:
-            dist -= 1
-        ph = (ph << 1 | 1) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (mask & ~(xv | ph))
+        ph = ph << 1 | 1
+        pv = mh << 1 | ~(xv | ph)
         mv = ph & xv
-    return dist
+    mask = (1 << len(a)) - 1
+    return len(b) + (pv & mask).bit_count() - (mv & mask).bit_count()
 
 
 def char_levenshtein(a: str, b: str) -> int:

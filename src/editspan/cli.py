@@ -12,7 +12,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import zip_longest
+from itertools import takewhile, zip_longest
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from editspan.alignment import CostWeights, extract_line, read_kv_config
@@ -64,11 +64,31 @@ def _map_lines(
     jobs = _worker_count(jobs)
     if jobs > 1:
         import multiprocessing  # only here: the import costs every command's start
+        import threading
 
+        # Leaving early (a closed stdout, a data error) terminates the pool. A
+        # worker killed part way through sending a large result leaves the
+        # result pipe full, the pool's task thread blocks sending its end
+        # marker down it, and the shutdown waits for that thread forever. So
+        # feeding stops first, and every result still due is taken.
+        stop = threading.Event()
         with multiprocessing.Pool(
             jobs, initializer=_setup_worker, initargs=(provider, weights)
         ) as pool:
-            yield from pool.imap(fn, items, chunksize=64)
+            fed = takewhile(lambda _: not stop.is_set(), items)
+            results = pool.imap(fn, fed, chunksize=64)
+            try:
+                for result in results:  # not ``yield from``, which would close results
+                    yield result
+            finally:
+                stop.set()
+                while True:
+                    try:
+                        next(results)
+                    except StopIteration:
+                        break
+                    except Exception:  # a later line's own error: only its end is awaited
+                        pass
     else:
         _setup_worker(provider, weights)
         yield from map(fn, items)

@@ -30,7 +30,9 @@ from editspan.alignment import (
     AlignOp,
     CostWeights,
     OpKind,
+    _MASK_CACHE_CUTOFF,
     _char_distance_cached,
+    _token_masks,
     align,
     char_levenshtein,
     extract_spans,
@@ -70,10 +72,15 @@ def test_char_levenshtein_frozen_values():
 
 def test_char_distance_matches_two_row_reference():
     rng = random.Random(11)
-    alphabets = ("ab", "abcdefgh", "aé…\U0001F600\U00010348x", string.printable)
+    astral = "\U0001F600\U00010348\U0001D11E\U00020000"
+    alphabets = (
+        "ab", "abcdefgh", "aé…\U0001F600\U00010348x", string.printable, "a", "\U0001F600",
+        astral,
+    )
     cases = [
         ("", ""), ("", "abc"), ("abc", ""), ("a" * 64, "a" * 65), ("a" * 65, "b" * 65),
         ("ab" * 40, "ba" * 40), ("\U0001F600" * 70, "\U0001F600" * 69 + "x"),
+        ("xy", "xy" * 50_000), ("x", "yx" * 50_000),
     ]
     for _ in range(3000):
         alphabet = rng.choice(alphabets)
@@ -85,11 +92,24 @@ def test_char_distance_matches_two_row_reference():
         cases.append(tuple(
             "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 200))) for _ in "ab"
         ))
+    # longer tokens on either side of the cutoff of the per-token mask cache
+    for length in (_MASK_CACHE_CUTOFF - 1, _MASK_CACHE_CUTOFF, _MASK_CACHE_CUTOFF + 1):
+        for alphabet in alphabets:
+            for _ in range(20):
+                cases.append((
+                    "".join(rng.choice(alphabet) for _ in range(length)),
+                    "".join(rng.choice(alphabet) for _ in range(rng.randint(1, length))),
+                ))
     distance = _char_distance_cached.__wrapped__
-    for a, b in cases:
-        expected = reference_char_distance(a, b)
-        assert distance(a, b) == expected, (a, b)
-        assert char_levenshtein(a, b) == char_levenshtein(b, a) == expected, (a, b)
+    expected = [reference_char_distance(a, b) for a, b in cases]
+    for (a, b), want in zip(cases, expected):
+        assert distance(a, b) == distance(b, a) == want, (a, b)
+        assert char_levenshtein(a, b) == char_levenshtein(b, a) == want, (a, b)
+    # and again with both caches cold
+    _char_distance_cached.cache_clear()
+    _token_masks.cache_clear()
+    for (a, b), want in zip(cases, expected):
+        assert char_levenshtein(a, b) == distance(b, a) == want, (a, b)
 
 
 def test_char_distance_against_one_character_is_linear_in_the_long_string():
@@ -113,6 +133,33 @@ def test_char_distance_keeps_no_mask_per_distinct_character():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_char_distance_against_a_run_of_its_own_character_is_linear():
+    # each mask of the long string is built whole, not a bit at a time
+    distance = _char_distance_cached.__wrapped__
+    started = perf_counter()
+    assert distance("x", "x" * 10**6) == 10**6 - 1
+    assert perf_counter() - started < 1.0
+
+
+def test_full_mask_cache_stays_under_its_stated_worst_case():
+    # README, "Bit-parallel character distance": at most 4,096 tokens of at
+    # most 64 characters, under 40 MB with each of 64 distinct astral characters
+    size = _token_masks.cache_info().maxsize
+    assert (size, _MASK_CACHE_CUTOFF) == (4096, 64)
+    _token_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(size):
+            _token_masks("".join(chr(0x10000 + k * 64 + i) for i in range(64)))
+        peak = tracemalloc.get_traced_memory()[1]
+        filled = _token_masks.cache_info().currsize
+    finally:
+        tracemalloc.stop()
+        _token_masks.cache_clear()
+    assert filled == size
+    assert peak < 40_000_000
 
 
 def test_sub_cost_identical_surfaces_is_zero():

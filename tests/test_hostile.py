@@ -1,9 +1,11 @@
-"""Hostile span files through ``editspan apply``.
+"""Hostile inputs through the CLI.
 
-Each case runs the command in a fresh interpreter on a seeded 100,000-token
-source, killed if it outlives ``BOUND_S``. Every case must end with its exit
-code and its exact stderr, with no traceback; a failing case must leave the
-``-o`` file it was given as it was.
+Each case runs a command in a fresh interpreter, killed if it outlives
+``BOUND_S``, and must end with its exit code and its exact stderr, with no
+traceback. The span-file cases run ``editspan apply`` on a seeded
+100,000-token source, and a failing one must leave the ``-o`` file it was
+given as it was. The long-token cases run ``extract`` and ``score`` on a
+10^6-character token that shares its character with a one-character token.
 """
 
 from __future__ import annotations
@@ -65,6 +67,32 @@ CASES = {
 }
 
 
+LONG = "x" * 10**6
+# name: (command and its input files, file contents, expected stdout)
+LONG_TOKEN_CASES = {
+    "long-source-token": (["extract", "pairs.tsv"], {"pairs.tsv": LONG + "\tx"}, "0 1 x\n"),
+    "long-target-token": (["extract", "pairs.tsv"], {"pairs.tsv": "x\t" + LONG}, f"0 1 {LONG}\n"),
+    "long-hypothesis-token": (
+        ["score", "sources.txt", "spans.txt", "targets.txt"],
+        {"sources.txt": "x b c", "spans.txt": "0 1 " + LONG, "targets.txt": "y b c"},
+        '{\n  "pairs": 1,\n  "agreement_rate": 1.0,\n  "mean_ratio": 1.0,\n'
+        '  "precision": 0.0,\n  "recall": 0.0,\n  "f05": 0.0,\n  "ignored_fragments": 0\n}\n',
+    ),
+}
+
+
+def _run(name: str, argv: list[str], cwd) -> subprocess.CompletedProcess:
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "editspan.cli", *argv], capture_output=True, text=True,
+            encoding="utf-8", env=checkout_env(), cwd=cwd, timeout=BOUND_S,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{name}: {argv[0]} ran past {BOUND_S} s")
+    assert "Traceback" not in result.stderr, result.stderr
+    return result
+
+
 @pytest.fixture(scope="module")
 def source_tokens() -> list[str]:
     rng = random.Random(8)
@@ -79,16 +107,7 @@ def test_apply_hostile_span_file(name, source_tokens, tmp_path):
     sources.write_text(" ".join(source_tokens) + "\n", encoding="utf-8")
     spans_file.write_text(spans + "\n", encoding="utf-8", newline="")
     output.write_text(OLD_OUTPUT, encoding="utf-8")
-    argv = [sys.executable, "-m", "editspan.cli", "apply", str(sources), str(spans_file),
-            "-o", str(output)]
-    try:
-        result = subprocess.run(
-            argv, capture_output=True, text=True, encoding="utf-8", env=checkout_env(),
-            timeout=BOUND_S,
-        )
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"{name}: apply ran past {BOUND_S} s")
-    assert "Traceback" not in result.stderr, result.stderr
+    result = _run(name, ["apply", "sources.txt", "spans.txt", "-o", "out.txt"], tmp_path)
     assert (result.returncode, result.stderr) == (code, expected_err)
     written = output.read_text(encoding="utf-8")
     if expected is None:
@@ -97,3 +116,13 @@ def test_apply_hostile_span_file(name, source_tokens, tmp_path):
         assert written == " ".join(expected(source_tokens)) + "\n"
     # the output was replaced whole or not at all, with no temporary file left
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sources.txt", "spans.txt"]
+
+
+@pytest.mark.parametrize("name", LONG_TOKEN_CASES)
+def test_long_token_against_one_character(name, tmp_path):
+    argv, files, expected = LONG_TOKEN_CASES[name]
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text + "\n", encoding="utf-8")
+    result = _run(name, argv, tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == expected
