@@ -39,6 +39,10 @@ MAX_WEIGHT = 1e300
 # The relative margin of the band's stopping rule. It exceeds the rounding of
 # any path sum of at most 2 * MAX_BAND_CELLS terms by orders of magnitude.
 _BAND_MARGIN = 1e-6
+# A window of more than _START_ROWS rows starts at a half-width of one plus
+# three quarters of its unmatched words, at most _START_CAP (README, "Aligner").
+_START_ROWS = 8
+_START_CAP = 8
 
 
 class CostWeights(Value):
@@ -270,7 +274,16 @@ def _fill_band(
     excursion = ins_c + del_c
     whole = min(n, m)
 
+    # Any band that passes the test below is exact, so the first one may start
+    # wider than k = 1: a word on one side of the window and not the other
+    # costs about three quarters of an excursion at the default weights. The
+    # cap keeps that pass linear, and a start past the budget falls back to 1.
     k = 1
+    if n - p > _START_ROWS:
+        s_win, t_win = {a.surface for a in src[p:n]}, set(t_surf[p:m])
+        k = min(_START_CAP, whole, 1 + 3 * max(len(s_win - t_win), len(t_win - s_win)) // 4)
+        if (n + 1) * min(m + 1, abs(d) + 2 * k + 1) > MAX_BAND_CELLS:
+            k = 1
     while True:
         lo, hi = min(0, d) - k, max(0, d) + k
         cells = (n + 1) * min(m + 1, hi - lo + 1)  # at least the band's cells

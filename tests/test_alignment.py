@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import string
@@ -548,23 +549,170 @@ def test_align_matches_reference_dp_on_long_pairs(length):
     assert merge_ops(got) == reference_merge_ops(want)
 
 
-def test_walk_fills_only_the_prefix_rows_it_visits(monkeypatch):
-    filled = []
+def _count_fill_rows(monkeypatch) -> list:
+    """Record each ``_fill_rows`` call as ``(k, width, rows)``: the band's
+    half-width, its cells per row, and the rows filled."""
+    calls = []
     real_fill_rows = alignment_module._fill_rows
 
     def counting_fill_rows(*args):
-        first, last = args[7:9]
-        filled.append(last - first + 1)
+        chain, lo, first, last = args[5:9]
+        hi = lo + len(chain) - 2
+        # lo = min(0, d) - k and hi = max(0, d) + k, so d = hi + lo
+        calls.append(((hi - lo - abs(hi + lo)) // 2, hi - lo + 1, last - first + 1))
         return real_fill_rows(*args)
 
     monkeypatch.setattr(alignment_module, "_fill_rows", counting_fill_rows)
+    return calls
+
+
+def test_walk_fills_only_the_prefix_rows_it_visits(monkeypatch):
+    calls = _count_fill_rows(monkeypatch)
     words = [f"w{i}" for i in range(200)]
     src, tgt = tokenize(" ".join(words)), tokenize(" ".join(words + ["new"]))
     script = extract_spans(src, tgt)
     # the band has no rows past the 200-token prefix; the walk's INS at its
     # end leaves the diagonal in row 200 only
-    assert sum(filled) == 1
+    assert sum(rows for _, _, rows in calls) == 1
     assert script == reference_extract_spans(src, tgt)
+
+
+def test_a_many_edit_pair_fills_its_band_in_one_pass(monkeypatch):
+    # 9 of 60 words replaced by words the source lacks: the pair costs 10.9, so
+    # k = 1 fails the band test and k = 5 passes it, and the start sized from
+    # the 9 unmatched words (k = 7) passes at once
+    words = [f"w{i}" for i in range(60)]
+    edited = [f"x{i}" if i % 7 == 3 else word for i, word in enumerate(words)]
+    src, tgt = _annotated(" ".join(words)), _annotated(" ".join(edited))
+    weights = alignment_module.DEFAULT_WEIGHTS
+    calls = _count_fill_rows(monkeypatch)
+    total = alignment_module._fill_band(src, tgt, weights)[3]
+    assert [k for k, _, _ in calls] == [7]
+    assert align(src, tgt) == reference_align(src, tgt)
+    # with the start not sized, or sized past a budget that the k = 5 band
+    # (61 rows of 11 cells) fits, the fill starts at k = 1 and steps up
+    for name, value in (("_START_ROWS", len(words)), ("MAX_BAND_CELLS", 61 * 11)):
+        with monkeypatch.context() as patch:
+            patch.setattr(alignment_module, name, value)
+            calls.clear()
+            assert alignment_module._fill_band(src, tgt, weights)[3] == total
+            assert [k for k, _, _ in calls] == [1, 5]
+
+
+# the discounts reach below the floor, so a SUB of case variants costs 1e-4
+FLOOR_SUB = CostWeights(w_lemma=1, w_pos=1, sub_floor=1e-4)
+
+
+def _case_variant_pair(count: int):
+    """Distinct 3-letter words, capitalized against their last letter raised
+    (``Aab`` against ``aaB``): no surface matches, but lemmas and POS agree."""
+    letters = itertools.product(string.ascii_lowercase, repeat=3)
+    words = ["".join(word) for word in itertools.islice(letters, count)]
+    return (tokenize(" ".join(word.capitalize() for word in words)),
+            tokenize(" ".join(word[:2] + word[2].upper() for word in words)))
+
+
+def test_start_band_stays_capped_when_every_word_is_unmatched(monkeypatch):
+    # every word is unmatched, yet k = 1 passes: an uncapped start would be
+    # the whole table, quadratic in the length
+    src, tgt = _case_variant_pair(500)
+    script = extract_spans(src, tgt, weights=FLOOR_SUB)
+    assert script == reference_extract_spans(src, tgt, weights=FLOOR_SUB)
+    src_annot, tgt_annot = annotate(src), annotate(tgt)
+    want = reference_align(src_annot, tgt_annot, FLOOR_SUB)
+    assert align(src_annot, tgt_annot, FLOOR_SUB) == want
+    assert script.spans == (EditSpan(0, 500, tgt.surfaces),)
+    src, tgt = _case_variant_pair(2000)
+    calls = _count_fill_rows(monkeypatch)
+    script = extract_spans(src, tgt, weights=FLOOR_SUB)
+    assert script.spans == (EditSpan(0, 2000, tgt.surfaces),)
+    # one pass, of a constant number of cells per row
+    cap = alignment_module._START_CAP
+    assert [(k, rows) for k, _, rows in calls] == [(cap, 2000)]
+    assert sum(width * rows for _, width, rows in calls) <= (2 * cap + 1) * 2000
+
+
+def _random_weights(rng: random.Random) -> CostWeights:
+    """Random weights; in three draws in ten the discounts reach a small floor,
+    so every SUB is cheap and a narrow band passes whatever the edits."""
+    ins, dele = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+    cheap = rng.random() < 0.3
+    top = ins + dele if cheap else (ins + dele) / 3
+    return CostWeights(
+        w_lemma=rng.uniform(0, top), w_pos=rng.uniform(0, top), w_char=rng.uniform(0, top),
+        insert_cost=ins, delete_cost=dele, transpose_cost=rng.uniform(0.05, 2 * (ins + dele)),
+        sub_floor=rng.uniform(1e-4, 0.01) if cheap else rng.uniform(0.01, ins + dele),
+    )
+
+
+def _start_band_pairs(seed: int, count: int):
+    """(source, target, provider, weights) of 12 to 40 tokens, with 3 to 12
+    substitutions, insertions, deletions and adjacent swaps over a tie-heavy
+    vocabulary and words the source lacks. In one pair in five the target
+    keeps at most 7 of the source's 12 to 19 tokens, so the short side is
+    narrower than the start the window's words ask for. In one in five the
+    edits replace tokens by words the source lacks, which can ask for a
+    start past the cap."""
+    rng = random.Random(seed)
+    vocab = ("a", "b", "c", "ab", "a.")
+    fresh = tuple(f"n{i}" for i in range(24))
+    for _ in range(count):
+        shape = rng.random()
+        if shape < 0.2:
+            src = [rng.choice(vocab + fresh) for _ in range(rng.randint(12, 19))]
+            tgt = list(src)
+            for _ in range(rng.randint(len(src) - 7, 12)):
+                del tgt[rng.randrange(len(tgt))]
+        elif shape < 0.4:
+            src = [rng.choice(vocab) for _ in range(rng.randint(12, 40))]
+            tgt = list(src)
+            for i in rng.sample(range(len(src)), rng.randint(3, 12)):
+                tgt[i] = rng.choice(fresh)
+        else:
+            src = [rng.choice(vocab) for _ in range(rng.randint(12, 40))]
+            tgt = _edited(rng, src, vocab + fresh[:8], rng.randint(3, 12))
+        src, tgt = tokenize(" ".join(src)), tokenize(" ".join(tgt))
+        # lemmas and tags drawn per sentence, so equal surfaces need not agree
+        provider = SidecarProvider({
+            sentence.surfaces: tuple(
+                AnnotatedToken(s, rng.choice(("x", s.lower())), rng.choice(("NOUN", "VERB")))
+                for s in sentence.surfaces
+            )
+            for sentence in (src, tgt)
+        })
+        yield src, tgt, provider, _random_weights(rng)
+
+
+def test_align_matches_reference_dp_from_every_kind_of_start(monkeypatch):
+    calls = _count_fill_rows(monkeypatch)
+    starts = dict.fromkeys(("too narrow", "exact", "too wide", "capped", "whole table"), 0)
+    mismatches = []
+    for src, tgt, provider, w in _start_band_pairs(20, 3_000):
+        src_annot, tgt_annot = annotate(src, provider), annotate(tgt, provider)
+        calls.clear()
+        _, n, m, total = alignment_module._fill_band(src_annot, tgt_annot, w)
+        k = calls[0][0]
+        if k > 1:
+            # the test the first band would fail at k - 1 against this total
+            d = m - n
+            gap = d * w.insert_cost if d >= 0 else -d * w.delete_cost
+            narrower = gap + k * (w.insert_cost + w.delete_cost) > total * (1 + 1e-6)
+            if k == min(n, m):
+                starts["whole table"] += 1
+            elif k == alignment_module._START_CAP:
+                starts["capped"] += 1
+            elif len(calls) > 1:
+                starts["too narrow"] += 1
+            else:
+                starts["too wide" if narrower else "exact"] += 1
+        got, want = align(src_annot, tgt_annot, w), reference_align(src_annot, tgt_annot, w)
+        if got != want or extract_spans(src, tgt, provider, w) != reference_extract_spans(
+            src, tgt, provider, w
+        ):
+            mismatches.append((src, tgt, w))
+    assert mismatches == []
+    assert sum(starts.values()) >= 2_000, starts
+    assert min(starts.values()) >= 50, starts
 
 
 def test_align_raises_before_filling_a_band_past_the_budget(monkeypatch):
