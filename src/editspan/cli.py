@@ -1,7 +1,7 @@
 """Command-line pipeline: extract, apply, score, build-dataset, roundtrip.
 
-Data goes to standard output (or ``--output``); diagnostics go to standard
-error. Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+Data goes to stdout (or ``--output``), diagnostics to stderr. Exit codes: 0
+success, 1 usage or configuration error, 2 data error or a dead worker process.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import takewhile, zip_longest
+from itertools import islice, zip_longest
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from editspan.alignment import CostWeights, extract_line, read_kv_config
@@ -35,6 +35,7 @@ from editspan.text import AnnotationProvider, detokenize, make_provider, read_li
 
 T = TypeVar("T")
 R = TypeVar("R")
+_CHUNK, _BLOCK = 64, 1024  # a pool's lines per task, and lines read ahead per worker
 
 # per-process state for worker pools; set once before mapping
 _PROVIDER = None
@@ -60,38 +61,37 @@ def _worker_count(jobs: int) -> int:
 def _map_lines(
     fn: Callable[[T], R], items: Iterable[T], jobs: int, provider, weights
 ) -> Iterator[R]:
-    """Map a pure function over items, preserving order, optionally in parallel."""
+    """Map a pure function over items in order; every result before an error comes first."""
     jobs = _worker_count(jobs)
-    if jobs > 1:
-        import multiprocessing  # only here: the import costs every command's start
-        import threading
-
-        # Leaving early (a closed stdout, a data error) terminates the pool. A
-        # worker killed part way through sending a large result leaves the
-        # result pipe full, the pool's task thread blocks sending its end
-        # marker down it, and the shutdown waits for that thread forever. So
-        # feeding stops first, and every result still due is taken.
-        stop = threading.Event()
-        with multiprocessing.Pool(
-            jobs, initializer=_setup_worker, initargs=(provider, weights)
-        ) as pool:
-            fed = takewhile(lambda _: not stop.is_set(), items)
-            results = pool.imap(fn, fed, chunksize=64)
-            try:
-                for result in results:  # not ``yield from``, which would close results
-                    yield result
-            finally:
-                stop.set()
-                while True:
-                    try:
-                        next(results)
-                    except StopIteration:
-                        break
-                    except Exception:  # a later line's own error: only its end is awaited
-                        pass
-    else:
-        _setup_worker(provider, weights)
+    _setup_worker(provider, weights)  # the parent, too, may map the rest of a block
+    if jobs == 1:
         yield from map(fn, items)
+        return
+    # imported only here: it slows every command's start
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    items, size = iter(items), _BLOCK * jobs
+    pool = ProcessPoolExecutor(jobs, initializer=_setup_worker, initargs=(provider, weights))
+    if sys.version_info < (3, 11):  # else a dead worker can hang the exit (README "CLI")
+        pool._call_queue.cancel_join_thread()
+    try:
+        while True:
+            block, done = [], 0
+            try:  # Executor.map reads its whole input first, so it gets a block at a time
+                block.extend(islice(items, size))
+            except Exception:  # an input error: the lines read before it come first
+                yield from map(fn, block)
+                raise
+            try:
+                for done, result in enumerate(pool.map(fn, block, chunksize=_CHUNK), 1):
+                    yield result
+            except BrokenProcessPool:
+                raise DataError("a worker process died") from None
+            except Exception:  # Executor.map fails a chunk whole; fn is pure, so rerun here
+                yield from map(fn, block[done:])
+            if len(block) < size:
+                return
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits only for chunks sent to a worker
 
 
 def _extract_one(numbered: tuple[int, str]) -> str:

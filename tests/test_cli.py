@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -138,13 +139,16 @@ def _run_python(*args):
 
 
 def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
-    # the import costs every command's start, so a serial run goes without it
+    # the imports cost every command's start, so a serial run goes without them
     code = (
         "import sys\n"
         "import editspan.cli\n"
-        "assert 'multiprocessing' not in sys.modules, 'on import'\n"
+        "def check(when):\n"
+        "    loaded = sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules))\n"
+        "    assert not loaded, f'{loaded} {when}'\n"
+        "check('on import')\n"
         f"assert editspan.cli.main(['extract', {pairs_file!r}, '--jobs', '1']) == 0\n"
-        "assert 'multiprocessing' not in sys.modules, 'after --jobs 1'\n"
+        "check('after --jobs 1')\n"
     )
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
@@ -406,6 +410,85 @@ def test_closed_stdout_ends_the_command_quietly(tmp_path, jobs):
                 proc.kill()
         err.seek(0)
         assert err.read() == b""
+
+
+_SOURCE_20 = " ".join(f"w{i}" for i in range(20)) + "\n"
+_FAILING_RUNS = {
+    # a malformed line past the first 64-line chunk
+    "extract-bad-line": (
+        ["extract", "{pairs}"], {"pairs": "a b c\ta x c\n" * 99 + "missing tab\n" + "a\tb\n" * 50},
+    ),
+    # more sources than span lines, over more than one chunk
+    "apply-short-spans": (
+        ["apply", "{sources}", "{spans}"], {"sources": "a b c\n" * 200, "spans": "1 2 x\n" * 150},
+    ),
+    # line 1's hypothesis is too long to align, which is noted on stderr; line
+    # 2's gold target is past the budget, a data error in the same chunk
+    "score-note-then-error": (
+        ["score", "{sources}", "{spans}", "{targets}"],
+        {
+            "sources": _SOURCE_20 * 2 + "a b\n",
+            "spans": "20 20 " + " ".join(["x"] * 60000) + "\nNone\nNone\n",
+            "targets": _SOURCE_20.replace("\n", " .\n") + " ".join(["y"] * 60000) + "\na b\n",
+        },
+    ),
+    "extract-empty": (["extract", "{pairs}"], {"pairs": ""}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_RUNS))
+def test_jobs_never_change_what_a_failing_command_printed(tmp_path, monkeypatch, case, capsys):
+    # a pool fails a chunk whole, yet every line before the error is printed
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv, files = _FAILING_RUNS[case]
+    paths = {name: _write(tmp_path / f"{name}.txt", text) for name, text in files.items()}
+    argv = [arg.format(**paths) for arg in argv]
+    runs = []
+    for jobs in ("1", "2"):
+        code = main(argv + ["--jobs", jobs])
+        out = capsys.readouterr()
+        runs.append((code, out.out, out.err))
+    assert runs[1] == runs[0]
+    assert runs[0][0] == (0 if case == "extract-empty" else 2)
+
+
+def test_a_dead_worker_ends_the_command(tmp_path):
+    # A worker killed part way, as by the kernel's out-of-memory killer, ends
+    # the command with a data error, no output file and no process left.
+    # Workers are forked, so the patched extract_line reaches them. A chunk
+    # of these lines outgrows a pipe's buffer, which hangs Python 3.10's exit
+    # unless the pool's call queue is left unjoined (README "CLI").
+    side = " ".join(["w"] * 400)
+    pairs = _write(tmp_path / "pairs.tsv", f"{side} a\t{side} b\n" * 1200)
+    out_path = tmp_path / "spans.txt"
+    out_path.write_text("earlier run\n", encoding="utf-8")
+    code = (
+        "import os, signal, sys\n"
+        "import editspan.cli as cli\n"
+        "parent, extract_line = os.getpid(), cli.extract_line\n"
+        "def dying(line, lineno, provider, weights):\n"
+        "    if lineno == 100 and os.getpid() != parent:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return extract_line(line, lineno, provider, weights)\n"
+        "cli.extract_line, cli._usable_cpus = dying, lambda: 2\n"
+        f"sys.exit(cli.main(['extract', {pairs!r}, '--jobs', '2', '-o', {str(out_path)!r}]))\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=checkout_env(), start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=10)
+        finally:
+            try:  # a process left in the group fails the test below, and is ended here
+                os.killpg(proc.pid, signal.SIGKILL)
+                left = True
+            except ProcessLookupError:
+                left = False
+    assert (proc.returncode, out, err) == (2, b"", b"editspan: error: a worker process died\n")
+    assert out_path.read_text(encoding="utf-8") == "earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pairs.tsv", "spans.txt"]
+    assert not left
 
 
 def test_weights_file_changes_extraction(tmp_path, capsys):
