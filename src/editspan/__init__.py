@@ -3,126 +3,41 @@
 Extracts compact edit scripts from sentence pairs, serializes and parses
 them tolerantly, applies them deterministically, scores them, and assembles
 mixed instruction datasets.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import editspan`` loads no submodule and a command loads only what it runs.
 """
 
-from editspan.alignment import (
-    AlignOp,
-    Alignment,
-    CostWeights,
-    OpKind,
-    align,
-    canonicalize,
-    char_levenshtein,
-    extract_line,
-    extract_spans,
-    merge_ops,
-    read_kv_config,
-)
-from editspan.codec import (
-    EditScript,
-    EditSpan,
-    NONE_SENTINEL,
-    ParseReport,
-    apply_edits,
-    parse,
-    serialize,
-    split_fragments,
-)
-from editspan.dataset import (
-    DatasetRecord,
-    MixSpec,
-    OPEN_ENDED_TASK,
-    TASK_INSTRUCTIONS,
-    ValidationReport,
-    build_task_records,
-    mix_and_sample,
-    read_dataset_jsonl,
-    read_open_ended_jsonl,
-    validate_dataset,
-    write_jsonl,
-)
-from editspan.errors import BudgetError, ConfigError, DataError, EditSpanError, PairLineError
-from editspan.metrics import (
-    CompressionStat,
-    EditScore,
-    PairStats,
-    agreement,
-    compression,
-    edit_f05,
-    pair_stats,
-    reduce_stats,
-)
-from editspan.text import (
-    AnnotatedToken,
-    AnnotationProvider,
-    NaiveProvider,
-    POS_TAGS,
-    Sentence,
-    SidecarProvider,
-    annotate,
-    detokenize,
-    make_provider,
-    normalize_pos,
-    parse_pair_line,
-    tokenize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignOp",
-    "Alignment",
-    "AnnotatedToken",
-    "AnnotationProvider",
-    "BudgetError",
-    "CompressionStat",
-    "ConfigError",
-    "CostWeights",
-    "DataError",
-    "DatasetRecord",
-    "EditScore",
-    "EditScript",
-    "EditSpan",
-    "EditSpanError",
-    "MixSpec",
-    "NONE_SENTINEL",
-    "NaiveProvider",
-    "OPEN_ENDED_TASK",
-    "OpKind",
-    "POS_TAGS",
-    "PairLineError",
-    "PairStats",
-    "ParseReport",
-    "Sentence",
-    "SidecarProvider",
-    "TASK_INSTRUCTIONS",
-    "ValidationReport",
-    "agreement",
-    "align",
-    "annotate",
-    "apply_edits",
-    "build_task_records",
-    "canonicalize",
-    "char_levenshtein",
-    "compression",
-    "detokenize",
-    "edit_f05",
-    "extract_line",
-    "extract_spans",
-    "make_provider",
-    "merge_ops",
-    "mix_and_sample",
-    "normalize_pos",
-    "pair_stats",
-    "parse",
-    "parse_pair_line",
-    "read_dataset_jsonl",
-    "read_kv_config",
-    "read_open_ended_jsonl",
-    "reduce_stats",
-    "serialize",
-    "split_fragments",
-    "tokenize",
-    "validate_dataset",
-    "write_jsonl",
-]
+# each public name, by the module that defines it
+_HOMES = {
+    "alignment": "AlignOp Alignment CostWeights OpKind align canonicalize char_levenshtein "
+                 "extract_line extract_spans merge_ops read_kv_config",
+    "codec": "EditScript EditSpan NONE_SENTINEL ParseReport apply_edits parse serialize "
+             "split_fragments",
+    "dataset": "DatasetRecord ValidationReport build_task_records mix_and_sample "
+               "read_dataset_jsonl read_open_ended_jsonl validate_dataset write_jsonl",
+    "errors": "BudgetError ConfigError DataError EditSpanError PairLineError",
+    "metrics": "CompressionStat EditScore PairStats agreement compression edit_f05 pair_stats "
+               "reduce_stats",
+    "tasks": "MixSpec OPEN_ENDED_TASK TASK_INSTRUCTIONS",
+    "text": "AnnotatedToken AnnotationProvider NaiveProvider POS_TAGS Sentence SidecarProvider "
+            "annotate detokenize make_provider normalize_pos parse_pair_line tokenize",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

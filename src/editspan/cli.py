@@ -2,36 +2,36 @@
 
 Data goes to stdout (or ``--output``), diagnostics to stderr. Exit codes: 0
 success, 1 usage or configuration error, 2 data error or a dead worker process.
+Each command imports the modules it runs when it runs, so that no command
+pays at start-up for another's.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import islice, zip_longest
-from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
-from editspan.alignment import CostWeights, extract_line, read_kv_config
 from editspan.codec import apply_edits, parse, serialize
-from editspan.dataset import (
-    DatasetRecord,
-    MixSpec,
-    TASK_INSTRUCTIONS,
-    TASK_LABELS,
-    atomic_output,
-    pair_record,
-    read_open_ended_jsonl,
-    sample_picks,
-    scan_pair_lines,
-    write_jsonl,
-)
 from editspan.errors import ConfigError, DataError
-from editspan.metrics import PairStats, pair_stats, reduce_stats
-from editspan.text import AnnotationProvider, detokenize, make_provider, read_lines, tokenize
+from editspan.tasks import TASK_INSTRUCTIONS, TASK_LABELS, MixSpec
+from editspan.text import (
+    AnnotationProvider,
+    atomic_output,
+    detokenize,
+    make_provider,
+    read_lines,
+    tokenize,
+)
+
+if TYPE_CHECKING:
+    from editspan.alignment import CostWeights
+    from editspan.dataset import DatasetRecord
+    from editspan.metrics import PairStats
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -95,6 +95,8 @@ def _map_lines(
 
 
 def _extract_one(numbered: tuple[int, str]) -> str:
+    from editspan.alignment import extract_line
+
     lineno, line = numbered
     return serialize(extract_line(line, lineno, _PROVIDER, _WEIGHTS)[2])
 
@@ -107,11 +109,15 @@ def _apply_one(row: tuple[str, str]) -> tuple[str, int]:
 
 
 def _score_one(row: tuple[str, str, str]) -> PairStats:
+    from editspan.metrics import pair_stats
+
     source, span_text, target = row
     return pair_stats(tokenize(source), span_text, tokenize(target), _PROVIDER, _WEIGHTS)
 
 
 def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
+    from editspan.alignment import extract_line
+
     lineno, line = numbered
     src, tgt, script = extract_line(line, lineno, _PROVIDER, _WEIGHTS)
     report = parse(serialize(script), len(src))
@@ -127,6 +133,8 @@ def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
 
 
 def _record_one(job: tuple[str, str, str]) -> DatasetRecord:
+    from editspan.dataset import pair_record
+
     task, instruction, line = job
     return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS)
 
@@ -163,6 +171,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
 
 def _load_settings(args: argparse.Namespace) -> tuple[AnnotationProvider, CostWeights]:
     """The provider and weights the flags name; a bad provider is reported first."""
+    from editspan.alignment import CostWeights
+
     provider = make_provider(args.provider, args.annotations)
     weights = CostWeights.from_file(args.weights) if args.weights else CostWeights()
     return provider, weights
@@ -206,6 +216,8 @@ def _note_over_budget(stats: Iterable[PairStats], spans_path: str) -> Iterator[P
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from editspan.metrics import reduce_stats
+
     provider, weights = _load_settings(args)
     rows = _read_rows(
         {"sources": args.sources, "spans": args.spans, "targets": args.targets}
@@ -216,6 +228,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         for key, value in report.items():
             print(f"{key}: {value}")
     else:
+        import json
+
         print(json.dumps(report, indent=2))
     return 0
 
@@ -235,6 +249,9 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
+    from editspan.alignment import read_kv_config
+    from editspan.dataset import read_open_ended_jsonl, sample_picks, scan_pair_lines, write_jsonl
+
     provider, weights = _load_settings(args)
     overrides = {}
     if args.instructions:

@@ -11,29 +11,25 @@ index, and aligned only where a line was drawn.
 from __future__ import annotations
 
 import json
-import os
 import random
 import re
-import stat
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from editspan._value import Value
 from editspan.alignment import CostWeights, extract_line
 from editspan.codec import apply_edits, parse, serialize
 from editspan.errors import ConfigError, DataError, PairLineError
-from editspan.text import annotate, detokenize, parse_pair_line, read_lines, tokenize
-
-TASK_INSTRUCTIONS: dict[str, str] = {
-    "gec": "Rewrite the input text into grammatically correct text.",
-    "paraphrase": "Rewrite the input text into paraphrased text.",
-    "style": "Rewrite the input text into formal text.",
-    "simplify": "Rewrite the input text into simpler text.",
-}
-
-OPEN_ENDED_TASK = "open_ended"
-TASK_LABELS = tuple(TASK_INSTRUCTIONS) + (OPEN_ENDED_TASK,)
+# the task table, MixSpec and atomic_output are importable from here, too
+from editspan.tasks import OPEN_ENDED_TASK, TASK_INSTRUCTIONS, TASK_LABELS, MixSpec
+from editspan.text import (
+    annotate,
+    atomic_output,
+    detokenize,
+    parse_pair_line,
+    read_lines,
+    tokenize,
+)
 
 
 class DatasetRecord(Value):
@@ -51,29 +47,6 @@ class DatasetRecord(Value):
 _FIELDS = ("instruction", "input", "output", "task")
 # json.loads pairs valid surrogate escapes; any surrogate left is a lone one
 _SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-class MixSpec(Value):
-    """Sampling counts and seed for the final mix.
-
-    The class attributes are the defaults, which the command line reads.
-    """
-
-    per_task_count = 3000
-    open_ended_count = 13000
-    seed = 0
-
-    def __init__(
-        self,
-        per_task_count: int = per_task_count,
-        open_ended_count: int = open_ended_count,
-        seed: int = seed,
-    ) -> None:
-        if per_task_count < 0 or open_ended_count < 0:
-            raise ValueError("sample counts must be non-negative")
-        self.__dict__.update(
-            per_task_count=per_task_count, open_ended_count=open_ended_count, seed=seed
-        )
 
 
 def pair_record(
@@ -233,38 +206,6 @@ def validate_dataset(
             if produced != expected:
                 failures.append((idx, "applying the output does not reproduce the target"))
     return ValidationReport(len(records), checked, tuple(failures))
-
-
-@contextmanager
-def atomic_output(path: Union[str, Path]) -> Iterator[TextIO]:
-    """Open ``path`` for writing UTF-8 text with LF newlines, all or nothing.
-
-    The text goes to a new file beside the target, which replaces the target
-    only when the block exits normally. On an exception the new file is
-    removed and whatever was at ``path`` before is left as it was. A path
-    that exists but is not a regular file (a FIFO, ``/dev/stdout``) is
-    written in place, since it cannot be replaced.
-    """
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        with target.open("w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-        return
-    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        handle = tmp.open("x", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        # name the path asked for, not the temporary file beside it
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with handle:
-            if target.exists():
-                os.chmod(tmp, stat.S_IMODE(target.stat().st_mode))
-            yield handle
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_jsonl(records: Iterable[DatasetRecord], path: Union[str, Path]) -> int:

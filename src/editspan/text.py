@@ -5,15 +5,19 @@ or gap indices are only comparable between strings tokenized identically.
 Linguistic annotation (lemma, coarse POS) comes from a provider so the
 signal can be a cheap heuristic or an external tagger's output shipped in a
 sidecar file. Every input file is read through ``read_lines``, which owns the
-rules for turning its bytes into lines.
+rules for turning its bytes into lines, and every output file is written
+through ``atomic_output``.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import unicodedata
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence, TextIO, Union
 
 from editspan._value import Value
 from editspan.errors import ConfigError, DataError, EditSpanError, PairLineError
@@ -47,6 +51,39 @@ def read_lines(
             yield from handle
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def atomic_output(path: Union[str, Path]) -> Iterator[TextIO]:
+    """Open ``path`` for writing UTF-8 text with LF newlines, all or nothing.
+
+    The text goes to a new file beside the target, which replaces the target
+    only when the block exits normally. On an exception the new file is
+    removed and whatever was at ``path`` before is left as it was. A path
+    that exists but is not a regular file (a FIFO, ``/dev/stdout``) is
+    written in place, since it cannot be replaced. An error opening either
+    file names ``path`` as given.
+    """
+    target = Path(os.path.realpath(path))
+    in_place = target.exists() and not target.is_file()
+    opened = target if in_place else target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        handle = opened.open("w" if in_place else "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    if in_place:
+        with handle:
+            yield handle
+        return
+    try:
+        with handle:
+            if target.exists():
+                os.chmod(opened, stat.S_IMODE(target.stat().st_mode))
+            yield handle
+        os.replace(opened, target)
+    except BaseException:
+        opened.unlink(missing_ok=True)
+        raise
 
 
 def normalize_pos(tag: str) -> str:

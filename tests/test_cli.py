@@ -464,13 +464,13 @@ def test_a_dead_worker_ends_the_command(tmp_path):
     out_path.write_text("earlier run\n", encoding="utf-8")
     code = (
         "import os, signal, sys\n"
-        "import editspan.cli as cli\n"
-        "parent, extract_line = os.getpid(), cli.extract_line\n"
+        "import editspan.alignment as alignment, editspan.cli as cli\n"
+        "parent, extract_line = os.getpid(), alignment.extract_line\n"
         "def dying(line, lineno, provider, weights):\n"
         "    if lineno == 100 and os.getpid() != parent:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
         "    return extract_line(line, lineno, provider, weights)\n"
-        "cli.extract_line, cli._usable_cpus = dying, lambda: 2\n"
+        "alignment.extract_line, cli._usable_cpus = dying, lambda: 2\n"
         f"sys.exit(cli.main(['extract', {pairs!r}, '--jobs', '2', '-o', {str(out_path)!r}]))\n"
     )
     with subprocess.Popen(
@@ -786,6 +786,31 @@ _DATASET_ARGV = [
     "--simplify", "{simplify}", "--open-ended", "{open}", "--per-task", "2",
     "--open-count", "2", "--instructions", "{instructions}", "-o", "{out}",
 ]
+
+
+# command line: the editspan modules it runs without; each costs every start
+_UNUSED_MODULES = {
+    "apply": (["apply", "{sources}", "{spans}"], {"alignment", "metrics", "dataset"}),
+    "score": (["score", "{sources}", "{spans}", "{targets}"], {"dataset"}),
+    "build-dataset": (_DATASET_ARGV, {"metrics"}),
+    "extract-output": (["extract", "{pairs}", "-o", "{out}"], {"metrics", "dataset"}),
+}
+
+
+@pytest.mark.parametrize("command", _UNUSED_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    argv, unused = _UNUSED_MODULES[command]
+    paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
+    argv = [a.format(out=tmp_path / "out.txt", **paths) for a in argv]
+    code = (
+        "import sys\n"
+        "import editspan.cli\n"
+        f"assert editspan.cli.main({argv!r}) == 0\n"
+        f"loaded = sorted({ {f'editspan.{m}' for m in unused}!r} & set(sys.modules))\n"
+        "assert not loaded, f'{loaded} loaded'\n"
+    )
+    result = _run_python("-c", code)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize(

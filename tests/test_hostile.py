@@ -6,6 +6,8 @@ traceback. The span-file cases run ``editspan apply`` on a seeded
 100,000-token source, and a failing one must leave the ``-o`` file it was
 given as it was. The long-token cases run ``extract`` and ``score`` on a
 10^6-character token that shares its character with a one-character token.
+The settings cases give bad weights, instructions and open-ended files, and
+directories in place of files, to ``extract`` and ``build-dataset``.
 """
 
 from __future__ import annotations
@@ -126,3 +128,113 @@ def test_long_token_against_one_character(name, tmp_path):
     result = _run(name, argv, tmp_path)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout == expected
+
+
+PAIRS = "a b\tb a\n"
+OPEN_ENDED = '{"instruction": "q", "output": "a"}\n'
+DATASET = [
+    "build-dataset", "--gec", "pairs.tsv", "--paraphrase", "pairs.tsv", "--style", "pairs.tsv",
+    "--simplify", "pairs.tsv", "--per-task", "1", "--open-count", "1", "-o", "out.jsonl",
+]
+WEIGHTS = ["extract", "pairs.tsv", "--weights", "w.cfg"]
+DIRECTORY = None  # in a case's files: make a directory of this name
+
+
+def _is_a_directory(name: str) -> str:
+    return f"editspan: error: [Errno 21] Is a directory: {name!r}\n"
+
+
+# name: (command line, files besides pairs.tsv and open.jsonl, exit code, stderr)
+SETTINGS_CASES = {
+    "weights-nan": (
+        WEIGHTS, {"w.cfg": "transpose_cost = nan"}, 1,
+        "editspan: error: transpose_cost must be finite\n",
+    ),
+    "weights-overflow": (
+        WEIGHTS, {"w.cfg": "transpose_cost = 1e400"}, 1,
+        "editspan: error: transpose_cost must be finite\n",
+    ),
+    "weights-negative": (
+        WEIGHTS, {"w.cfg": "transpose_cost = -1"}, 1,
+        "editspan: error: transpose_cost must be positive\n",
+    ),
+    "weights-unknown-key": (
+        WEIGHTS, {"w.cfg": "bogus = 1"}, 1, "editspan: error: unknown cost weight: 'bogus'\n",
+    ),
+    "weights-no-equals": (
+        WEIGHTS, {"w.cfg": "transpose_cost 5"}, 1,
+        "editspan: error: w.cfg: line 1: expected key = value\n",
+    ),
+    "pairs-directory": (["extract", "d"], {"d": DIRECTORY}, 1, _is_a_directory("d")),
+    "weights-directory": (
+        ["extract", "pairs.tsv", "--weights", "d"], {"d": DIRECTORY}, 1, _is_a_directory("d"),
+    ),
+    "annotations-directory": (
+        ["extract", "pairs.tsv", "--provider", "sidecar", "--annotations", "d"],
+        {"d": DIRECTORY}, 1, _is_a_directory("d"),
+    ),
+    "instructions-directory": (
+        DATASET + ["--open-ended", "open.jsonl", "--instructions", "d"], {"d": DIRECTORY}, 1,
+        _is_a_directory("d"),
+    ),
+    "open-ended-not-an-object": (
+        DATASET + ["--open-ended", "bad.jsonl"], {"bad.jsonl": "[1]"}, 2,
+        "editspan: error: bad.jsonl: line 1: expected a JSON object\n",
+    ),
+    # the rest of the message differs between Python versions
+    "open-ended-nested-deep": (
+        DATASET + ["--open-ended", "deep.jsonl"], {"deep.jsonl": "[" * 10**5 + "]" * 10**5},
+        2, "editspan: error: deep.jsonl: line 1: invalid JSON: ",
+    ),
+}
+
+
+def _run_in(tmp_path, name: str, argv: list[str], files: dict) -> subprocess.CompletedProcess:
+    """Run ``argv`` beside ``pairs.tsv``, ``open.jsonl`` and ``files``."""
+    (tmp_path / "pairs.tsv").write_text(PAIRS, encoding="utf-8")
+    (tmp_path / "open.jsonl").write_text(OPEN_ENDED, encoding="utf-8")
+    for file_name, text in files.items():
+        if text is DIRECTORY:
+            (tmp_path / file_name).mkdir()
+        else:
+            (tmp_path / file_name).write_text(text + "\n", encoding="utf-8")
+    return _run(name, argv, tmp_path)
+
+
+@pytest.mark.parametrize("name", SETTINGS_CASES)
+def test_hostile_settings_file(name, tmp_path):
+    argv, files, code, expected_err = SETTINGS_CASES[name]
+    result = _run_in(tmp_path, name, argv, files)
+    assert result.returncode == code
+    assert result.stderr.startswith(expected_err)
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+    if name != "open-ended-nested-deep":
+        assert result.stderr == expected_err
+    assert result.stdout == ""
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_a_weight_given_twice_takes_its_later_value(tmp_path):
+    # "a b" -> "b a" is a swap at the default weights, a delete and an
+    # insert where a swap costs 5
+    twice = "transpose_cost = 0.5\ntranspose_cost = 5.0"
+    result = _run_in(tmp_path, "weights-twice", WEIGHTS, {"w.cfg": twice})
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 0 b, 1 2\n", "")
+
+
+def test_an_instruction_given_twice_takes_its_later_value(tmp_path):
+    twice = "gec = First.\ngec = Second."
+    argv = DATASET + ["--open-ended", "open.jsonl", "--instructions", "i.cfg"]
+    result = _run_in(tmp_path, "instructions-twice", argv, {"i.cfg": twice})
+    assert (result.returncode, result.stderr) == (0, "")
+    records = (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()
+    assert '{"instruction": "Second.", "input": "a b", "output": "0 2 b a", "task": "gec"}' in records
+
+
+def test_a_directory_as_output_is_named_as_given(tmp_path):
+    (tmp_path / "d").mkdir()
+    result = _run_in(tmp_path, "output-directory", ["extract", "pairs.tsv", "-o", "d"], {})
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", _is_a_directory("d"))
+    # the directory is untouched, and no temporary file is left
+    assert list((tmp_path / "d").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "open.jsonl", "pairs.tsv"]
