@@ -7,7 +7,7 @@ joined with ``", "``. A deletion renders as just the two positions
 token and gap N after the last of an N-token sentence.
 
 Parsing is total: malformed fragments are dropped and reported through a
-``ParseReport``, never raised.
+``ParseReport`` as ``(fragment index, reason code)`` pairs, never raised.
 """
 
 from __future__ import annotations
@@ -78,14 +78,14 @@ class EditScript(Value):
 
 
 class ParseReport(Value):
-    """Parse outcome: the surviving script plus accounting for dropped fragments."""
+    """Parse outcome: the surviving script plus each dropped fragment's (index, code)."""
 
-    def __init__(self, script: EditScript, notes: tuple[str, ...] = ()) -> None:
-        self.__dict__.update(script=script, notes=notes)
+    def __init__(self, script: EditScript, discarded: tuple[tuple[int, str], ...] = ()) -> None:
+        self.__dict__.update(script=script, discarded=discarded)
 
     @property
     def ignored(self) -> int:
-        return len(self.notes)
+        return len(self.discarded)
 
 
 def serialize(script: EditScript) -> str:
@@ -139,18 +139,18 @@ def parse(text: str, source_len: int) -> ParseReport:
 
     Total over arbitrary input. The trimmed string ``None`` is the empty
     script. A fragment is discarded at the first check it fails, in this
-    order, with the note ``discarded fragment <idx>: <reason>: '<its first
-    six tokens>'``: ``no leading start/end positions``; ``positions invalid
-    for source length <source_len>`` (outside ``[0, source_len]`` or
-    reversed); ``span changes nothing``; ``overlaps an earlier span`` (first
-    in scan order wins). Surviving spans are sorted by (start, end).
+    order, as ``(its index in split_fragments(text), code)``: ``no_positions``
+    (no two leading integers); ``bad_positions`` (outside ``[0, source_len]``,
+    reversed, or more digits than ``source_len``); ``noop`` (changes nothing);
+    ``overlap`` (clashes with an earlier span; first in scan order wins).
+    Surviving spans are sorted by (start, end).
     """
     if source_len < 0:
         raise ValueError(f"source length must be non-negative: {source_len}")
     if text.strip() == NONE_SENTINEL:
         return ParseReport(EditScript((), source_len))
     digits = len(str(source_len))
-    notes: list[str] = []
+    discarded: list[tuple[int, str]] = []
     accepted: list[EditSpan] = []
     # spans are accepted in scan order and sorted once at the end; a fragment
     # clashes if an accepted span starts at or covers its start gap (marked in
@@ -160,18 +160,18 @@ def parse(text: str, source_len: int) -> ParseReport:
     for idx, fragment in enumerate(split_fragments(text)):
         head = _HEAD.match(fragment)
         if head is None:
-            reason = "no leading start/end positions"
+            reason = "no_positions"
         else:
             start, end = _position(head[1], digits), _position(head[2], digits)
             replacement = tuple(head[3].split())
             if start is None or end is None or start < 0 or end < start or end > source_len:
-                reason = f"positions invalid for source length {source_len}"
+                reason = "bad_positions"
             elif start == end and not replacement:
-                reason = "span changes nothing"
+                reason = "noop"
             elif taken[start] or (
                 end > start + 1 and _starts_before(starts, end) > _starts_before(starts, start)
             ):
-                reason = "overlaps an earlier span"
+                reason = "overlap"
             else:
                 # checked above; the replacement is whitespace-split tokens
                 accepted.append(EditSpan._trusted(start=start, end=end, replacement=replacement))
@@ -181,12 +181,11 @@ def parse(text: str, source_len: int) -> ParseReport:
                     starts[at] += 1
                     at += at & -at
                 continue
-        shown = " ".join(fragment.split()[:6])
-        notes.append(f"discarded fragment {idx}: {reason}: {shown!r}")
+        discarded.append((idx, reason))
     accepted.sort(key=attrgetter("start"))
     # the tests above leave spans in range, with distinct starts and no overlap
     script = EditScript._trusted(spans=tuple(accepted), source_len=source_len)
-    return ParseReport(script, tuple(notes))
+    return ParseReport(script, tuple(discarded))
 
 
 def apply_edits(script: EditScript, src: Sentence) -> Sentence:

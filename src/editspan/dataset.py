@@ -235,7 +235,6 @@ def _read_jsonl(
     Raises:
         DataError: naming the file and line.
     """
-    path = Path(path)
     records = []
     for lineno, line in enumerate(read_lines(path), 1):
         if not line.strip():

@@ -205,7 +205,6 @@ class SidecarProvider(Value):
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "SidecarProvider":
-        path = Path(path)
         mapping: dict[tuple[str, ...], tuple[AnnotatedToken, ...]] = {}
         tokens: dict[str, AnnotatedToken] = {}
         block: list[AnnotatedToken] = []

@@ -188,13 +188,13 @@ def _reference_conflicts(a: EditSpan, b: EditSpan) -> bool:
 def reference_parse(text: str, source_len: int) -> ParseReport:
     """``parse`` as a plain scan: each fragment, split into tokens, is checked
     in turn for two leading integer tokens, positions in range, a change, and
-    no clash with any span accepted before it; a discarded fragment gets a
-    note naming the first check it fails and showing its first six tokens."""
+    no clash with any span accepted before it; a discarded fragment is reported
+    as its index and the code of the first check it fails."""
     if source_len < 0:
         raise ValueError(f"source length must be non-negative: {source_len}")
     if text.strip() == "None":
         return ParseReport(EditScript((), source_len))
-    notes: list[str] = []
+    discarded: list[tuple[int, str]] = []
     accepted: list[EditSpan] = []
     for idx, fragment in enumerate(reference_split_fragments(text)):
         tokens = fragment.split()
@@ -204,25 +204,25 @@ def reference_parse(text: str, source_len: int) -> ParseReport:
             or not _POSITION.fullmatch(tokens[0])
             or not _POSITION.fullmatch(tokens[1])
         ):
-            reason = "no leading start/end positions"
+            reason = "no_positions"
         else:
             start = _reference_position(tokens[0], source_len)
             end = _reference_position(tokens[1], source_len)
             replacement = tuple(tokens[2:])
             if start is None or end is None or not 0 <= start <= end <= source_len:
-                reason = f"positions invalid for source length {source_len}"
+                reason = "bad_positions"
             elif start == end and not replacement:
-                reason = "span changes nothing"
+                reason = "noop"
             else:
                 span = EditSpan(start, end, replacement)
                 if any(_reference_conflicts(prior, span) for prior in accepted):
-                    reason = "overlaps an earlier span"
+                    reason = "overlap"
                 else:
                     accepted.append(span)
         if reason is not None:
-            notes.append(f"discarded fragment {idx}: {reason}: {' '.join(tokens[:6])!r}")
+            discarded.append((idx, reason))
     spans = tuple(sorted(accepted, key=lambda s: (s.start, s.end)))
-    return ParseReport(EditScript(spans, source_len), tuple(notes))
+    return ParseReport(EditScript(spans, source_len), tuple(discarded))
 
 
 def reference_align(
@@ -424,7 +424,6 @@ def reference_sidecar_from_file(
 ) -> dict[tuple[str, ...], tuple[tuple[str, str], ...]]:
     """``SidecarProvider.from_file`` that splits and checks every row, keeps every
     block, and maps each sentence's surfaces to its ``(lemma, pos)`` rows."""
-    path = Path(path)
     blocks: list[list[tuple[str, str, str]]] = []
     current: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(read_lines(path), 1):

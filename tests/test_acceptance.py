@@ -140,7 +140,7 @@ def test_criterion_06_parser_totality_fuzz():
         try:
             report = parse(text, rng.randint(0, 25))
             accounted = len(report.script.spans) + report.ignored == len(split_fragments(text))
-            if not accounted or report.ignored != len(report.notes):
+            if not accounted or report.ignored != len(report.discarded):
                 failures += 1
         except Exception:
             failures += 1

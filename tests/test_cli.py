@@ -915,7 +915,7 @@ def test_build_dataset_open_ended_error_names_the_file_as_given(
     args[args.index("--open-ended") + 1] = "./open.jsonl"
     assert main(args + ["-o", "mix.jsonl"]) == 2
     out = capsys.readouterr()
-    assert out.err == "editspan: error: open.jsonl: line 2: expected a JSON object\n"
+    assert out.err == "editspan: error: ./open.jsonl: line 2: expected a JSON object\n"
     assert out.out == ""
     assert not (tmp_path / "mix.jsonl").exists()
 

@@ -62,7 +62,7 @@ def test_parse_none_sentinel():
         report = parse(text, 10)
         assert report.script == EditScript((), 10)
         assert report.ignored == 0
-        assert report.notes == ()
+        assert report.discarded == ()
 
 
 def test_parse_whitespace_only_has_no_fragments():
@@ -88,38 +88,41 @@ def test_parse_sorts_surviving_spans():
     assert report.ignored == 0
 
 
+_MALFORMED = [
+    ("banana", 10, "no_positions"),
+    ("x 1 2", 10, "no_positions"),
+    ("7", 10, "no_positions"),
+    ("3 x y", 10, "no_positions"),
+    ("3 2 x", 10, "bad_positions"),   # reversed positions
+    ("-1 2 x", 10, "bad_positions"),  # negative start
+    ("5 99 y", 10, "bad_positions"),  # end beyond the source
+    ("0 11", 10, "bad_positions"),    # deletion reaching past the source
+    ("3 3", 10, "noop"),              # changes nothing
+]
+
+
 @pytest.mark.parametrize(
-    ("text", "source_len"),
-    [
-        ("banana", 10),
-        ("x 1 2", 10),
-        ("7", 10),
-        ("3 x y", 10),
-        ("3 2 x", 10),           # reversed positions
-        ("-1 2 x", 10),          # negative start
-        ("5 99 y", 10),          # end beyond the source
-        ("0 11", 10),            # deletion reaching past the source
-        ("3 3", 10),             # changes nothing
-    ],
+    ("text", "source_len", "code"), _MALFORMED,
+    ids=[f"{text}-{source_len}" for text, source_len, _ in _MALFORMED],
 )
-def test_parse_discards_malformed_fragment(text, source_len):
+def test_parse_discards_malformed_fragment(text, source_len, code):
     report = parse(text, source_len)
     assert report.script.spans == ()
     assert report.ignored == 1
-    assert len(report.notes) == 1
+    assert report.discarded == ((0, code),)
 
 
 def test_parse_keeps_good_fragments_among_bad():
     report = parse("banana, 3 2 x, 1 2 fixed, 5 99 y", 10)
     assert report.script.spans == (EditSpan(1, 2, ("fixed",)),)
     assert report.ignored == 3
-    assert len(report.notes) == 3
+    assert report.discarded == ((0, "no_positions"), (1, "bad_positions"), (3, "bad_positions"))
 
 
 def test_parse_overlap_keeps_first_in_scan_order():
     report = parse("0 2 a, 1 3 b", 10)
     assert report.script.spans == (EditSpan(0, 2, ("a",)),)
-    assert report.ignored == 1
+    assert report.discarded == ((1, "overlap"),)
 
     # scan order wins even when the later fragment starts earlier
     report = parse("1 3 b, 0 2 a", 10)
@@ -196,7 +199,7 @@ def test_parse_positions_past_the_int_digit_limit_are_invalid():
     for text in ("9" * 5000 + " 1 x", "0 " + "1" * 5000 + " x", "-" + "9" * 5000 + " 1 x"):
         report = parse(text, 3)
         assert report.script.spans == () and report.ignored == 1
-        assert "positions invalid for source length 3" in report.notes[0]
+        assert report.discarded == ((0, "bad_positions"),)
     # leading zeros are not significant, in any script's decimal digits
     for zeros in ("0" * 5000, "\u0660" * 5000):
         report = parse(f"{zeros}1 {zeros}2 x, -{zeros}3 3 y", 3)
@@ -438,7 +441,7 @@ def test_parse_is_total_and_accounts_for_fragments(text, source_len):
     if text.strip() != NONE_SENTINEL:
         fragments = split_fragments(text)
         assert len(report.script.spans) + report.ignored == len(fragments)
-    assert report.ignored == len(report.notes)
+    assert report.ignored == len(report.discarded)
     assert report == reference_parse(text, source_len)
 
 

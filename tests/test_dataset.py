@@ -333,7 +333,7 @@ _RECORD = '{"instruction": "i", "input": "x", "output": "o", "task": "gec"}\n'
 )
 def test_read_dataset_jsonl_error_messages(tmp_path, monkeypatch, text, message):
     assert _reader_error(read_dataset_jsonl, tmp_path, monkeypatch, text) == (
-        f"bad.jsonl: {message}"
+        f"./bad.jsonl: {message}"
     )
 
 
@@ -350,7 +350,7 @@ def test_read_dataset_jsonl_error_messages(tmp_path, monkeypatch, text, message)
 )
 def test_read_open_ended_jsonl_error_messages(tmp_path, monkeypatch, text, message):
     assert _reader_error(read_open_ended_jsonl, tmp_path, monkeypatch, text) == (
-        f"bad.jsonl: {message}"
+        f"./bad.jsonl: {message}"
     )
 
 
@@ -365,7 +365,7 @@ def test_reader_lone_surrogate_is_a_data_error(tmp_path, monkeypatch, read, fiel
     bad = good.replace(f'"{field}": "{record[field]}"', f'"{field}": "{escaped}"')
     assert bad != good
     assert _reader_error(read, tmp_path, monkeypatch, good + bad) == (
-        f"bad.jsonl: line 2: {field} is not valid Unicode: it holds a lone surrogate"
+        f"./bad.jsonl: line 2: {field} is not valid Unicode: it holds a lone surrogate"
     )
 
 
@@ -383,9 +383,9 @@ def test_reader_accepts_paired_surrogate_escapes(tmp_path):
 def test_reader_json_beyond_the_parser_limits_is_a_data_error(tmp_path, monkeypatch):
     deep = '{"instruction": ' + "[" * 100_000 + "]" * 100_000 + ', "output": "o"}\n'
     message = _reader_error(read_open_ended_jsonl, tmp_path, monkeypatch, deep)
-    assert message.startswith("bad.jsonl: line 1: invalid JSON: maximum recursion depth")
+    assert message.startswith("./bad.jsonl: line 1: invalid JSON: maximum recursion depth")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         huge = '{"instruction": ' + "1" * (limit + 1) + ', "output": "o"}\n'
         message = _reader_error(read_open_ended_jsonl, tmp_path, monkeypatch, huge)
-        assert message.startswith("bad.jsonl: line 1: invalid JSON: Exceeds the limit")
+        assert message.startswith("./bad.jsonl: line 1: invalid JSON: Exceeds the limit")

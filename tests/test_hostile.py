@@ -7,7 +7,10 @@ traceback. The span-file cases run ``editspan apply`` on a seeded
 given as it was. The long-token cases run ``extract`` and ``score`` on a
 10^6-character token that shares its character with a one-character token.
 The settings cases give bad weights, instructions and open-ended files, and
-directories in place of files, to ``extract`` and ``build-dataset``.
+directories in place of files, to ``extract`` and ``build-dataset``. The
+file-argument cases give an empty file and a directory to each file argument
+of each command, which must end with exit 0, 1 or 2, and on failure with one
+error line, no ``-o`` file and no temporary file.
 """
 
 from __future__ import annotations
@@ -181,6 +184,16 @@ SETTINGS_CASES = {
         DATASET + ["--open-ended", "bad.jsonl"], {"bad.jsonl": "[1]"}, 2,
         "editspan: error: bad.jsonl: line 1: expected a JSON object\n",
     ),
+    # a file is named as given, not as its normalized path
+    "open-ended-named-as-given": (
+        DATASET + ["--open-ended", "./bad.jsonl"], {"bad.jsonl": "[1]"}, 2,
+        "editspan: error: ./bad.jsonl: line 1: expected a JSON object\n",
+    ),
+    "annotations-named-as-given": (
+        ["extract", "pairs.tsv", "--provider", "sidecar", "--annotations", "./side.txt"],
+        {"side.txt": "a\ta"}, 2,
+        "editspan: error: ./side.txt: line 1: expected surface<TAB>lemma<TAB>pos\n",
+    ),
     # the rest of the message differs between Python versions
     "open-ended-nested-deep": (
         DATASET + ["--open-ended", "deep.jsonl"], {"deep.jsonl": "[" * 10**5 + "]" * 10**5},
@@ -238,3 +251,70 @@ def test_a_directory_as_output_is_named_as_given(tmp_path):
     # the directory is untouched, and no temporary file is left
     assert list((tmp_path / "d").iterdir()) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "open.jsonl", "pairs.tsv"]
+
+
+GIVEN = "given"  # the file argument under test
+# good inputs for every command
+GOOD_FILES = {
+    "pairs.tsv": PAIRS, "sources.txt": "a b\n", "spans.txt": "0 2 b a\n",
+    "targets.txt": "b a\n", "open.jsonl": OPEN_ENDED,
+}
+# each command on the good inputs, and the file options it also takes
+COMMANDS = {
+    "extract": (["extract", "pairs.tsv", "-o", "out.jsonl"], ("--weights", "--annotations")),
+    "apply": (["apply", "sources.txt", "spans.txt", "-o", "out.jsonl"], ()),
+    "score": (
+        ["score", "sources.txt", "spans.txt", "targets.txt"], ("--weights", "--annotations"),
+    ),
+    "roundtrip": (["roundtrip", "pairs.tsv"], ("--weights", "--annotations")),
+    "build-dataset": (
+        DATASET + ["--open-ended", "open.jsonl"], ("--weights", "--annotations", "--instructions"),
+    ),
+}
+
+
+def _file_arguments() -> dict[str, list[str]]:
+    """``command-argument``: the command line with that one file argument ``GIVEN``."""
+    cases = {}
+    for command, (argv, options) in COMMANDS.items():
+        for at, arg in enumerate(argv):
+            if arg in GOOD_FILES or arg == "out.jsonl":
+                flag = argv[at - 1]
+                name = flag.lstrip("-") if flag.startswith("-") else arg.partition(".")[0]
+                cases[f"{command}-{name}"] = argv[:at] + [GIVEN] + argv[at + 1:]
+        for option in options:
+            sidecar = ["--provider", "sidecar"] if option == "--annotations" else []
+            cases[f"{command}-{option.lstrip('-')}"] = argv + sidecar + [option, GIVEN]
+    return cases
+
+
+FILE_ARGUMENTS = _file_arguments()
+
+
+@pytest.mark.parametrize("kind", ["empty", "directory"])
+@pytest.mark.parametrize("name", FILE_ARGUMENTS)
+def test_empty_file_or_directory_as_file_argument(name, kind, tmp_path):
+    argv = FILE_ARGUMENTS[name]
+    for file_name, text in GOOD_FILES.items():
+        (tmp_path / file_name).write_text(text, encoding="utf-8")
+    given = tmp_path / GIVEN
+    if kind == "directory":
+        given.mkdir()
+    else:
+        given.write_text("", encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    result = _run(f"{name}-{kind}", argv, tmp_path)
+    assert result.returncode in (0, 1, 2), result.stderr
+    after = sorted(p.name for p in tmp_path.iterdir())
+    if result.returncode == 0 and "out.jsonl" in argv:
+        assert after == sorted(before + ["out.jsonl"])
+    else:
+        # a failure writes no -o file and leaves no temporary file
+        assert after == before
+    if result.returncode:
+        assert result.stderr.startswith("editspan: error: ") and result.stderr.count("\n") == 1
+        # the argument under test is left as it was
+        if kind == "directory":
+            assert list(given.iterdir()) == []
+        else:
+            assert given.read_text(encoding="utf-8") == ""

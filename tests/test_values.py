@@ -77,9 +77,9 @@ CASES = {
         EditScript, (), {}, "EditScript(spans=(), source_len=0)", ((), 1),
     ),
     "ParseReport": (
-        ParseReport, (_SCRIPT, ("dropped",)), dict(script=_SCRIPT, notes=("dropped",)),
+        ParseReport, (_SCRIPT, ((0, "noop"),)), dict(script=_SCRIPT, discarded=((0, "noop"),)),
         "ParseReport(script=EditScript(spans=(EditSpan(start=1, end=2, "
-        "replacement=('goes',)),), source_len=5), notes=('dropped',))",
+        "replacement=('goes',)),), source_len=5), discarded=((0, 'noop'),))",
         (_SCRIPT,),
     ),
     "Sentence": (
