@@ -71,8 +71,6 @@ def _map_lines(
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     items, size = iter(items), _BLOCK * jobs
     pool = ProcessPoolExecutor(jobs, initializer=_setup_worker, initargs=(provider, weights))
-    if sys.version_info < (3, 11):  # else a dead worker can hang the exit (README "CLI")
-        pool._call_queue.cancel_join_thread()
     try:
         while True:
             block, done = [], 0

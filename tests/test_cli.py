@@ -73,13 +73,32 @@ def test_extract_line_count_matches_input(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 25
 
 
-def test_extract_jobs_do_not_change_output(tmp_path, capsys):
-    pairs = random_pairs(seed=4, count=40, max_len=12)
-    path = _write(tmp_path / "pairs.tsv", "".join(f"{s}\t{t}\n" for s, t in pairs))
-    assert main(["extract", path]) == 0
-    sequential = capsys.readouterr().out
-    assert main(["extract", path, "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == sequential
+# The third and fourth pairs share a prefix with their targets, and their walk
+# leaves that prefix's diagonal, so extraction fills the prefix's rows. The
+# last pair's trimmed window has 11 rows, three words the source lacks and a
+# swap, so its one band is k = 3, where k = 1 fails.
+_GOLDEN_PAIRS = [
+    ("the cat sat", "the cat sat down"), ("a b c d", "a c d e"), ("a a b", "a b"),
+    ("x y z w", "x y q z w"),
+    (
+        "we saw the old man walk his small dog along the river bank at dawn today",
+        "we saw an old man walking his dog small along the river shore at dawn today",
+    ),
+]
+_GOLDEN_SPANS = [
+    "3 3 down", "1 2, 4 4 e", "0 1", "2 2 q", "2 3 an, 5 6 walking, 7 9 dog small, 12 13 shore",
+]
+
+
+def test_extract_jobs_do_not_change_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    for pairs in (random_pairs(seed=4, count=40, max_len=12), _GOLDEN_PAIRS):
+        path = _write(tmp_path / "pairs.tsv", "".join(f"{s}\t{t}\n" for s, t in pairs))
+        assert main(["extract", path]) == 0
+        sequential = capsys.readouterr().out
+        assert main(["extract", path, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == sequential
+    assert sequential.splitlines() == _GOLDEN_SPANS
 
 
 def test_extract_malformed_line_is_a_data_error(tmp_path, capsys):
@@ -157,10 +176,18 @@ def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
 
 def test_commands_start_without_dataclasses_or_inspect(tmp_path):
     # `dataclasses` pulls in `inspect`, which costs every command's start;
-    # -S keeps out whatever `site` would import
+    # -S keeps out whatever `site` would import, so a third-party import
+    # fails here too
     paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
-    score = ["score", paths["sources"], paths["spans"], paths["targets"]]
-    build = [a.format(out=tmp_path / "out.jsonl", **paths) for a in _DATASET_ARGV]
+    commands = [
+        [a.format(out=tmp_path / "out.txt", **paths) for a in argv] for argv in (
+            ["extract", "{pairs}", "-o", "{out}"],
+            ["apply", "{sources}", "{spans}", "-o", "{out}"],
+            ["score", "{sources}", "{spans}", "{targets}"],
+            ["roundtrip", "{pairs}"],
+            _DATASET_ARGV,
+        )
+    ]
     code = (
         "import sys\n"
         "import editspan.cli\n"
@@ -168,10 +195,9 @@ def test_commands_start_without_dataclasses_or_inspect(tmp_path):
         "    loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
         "    assert not loaded, f'{loaded} {when}'\n"
         "check('on import')\n"
-        f"assert editspan.cli.main({score!r}) == 0\n"
-        "check('after score')\n"
-        f"assert editspan.cli.main({build + ['--jobs', '1']!r}) == 0\n"
-        "check('after build-dataset')\n"
+        f"for argv in {commands!r}:\n"
+        "    assert editspan.cli.main(argv) == 0, argv\n"
+        "    check('after ' + argv[0])\n"
     )
     result = _run_python("-S", "-c", code)
     assert result.returncode == 0, result.stderr
@@ -283,12 +309,16 @@ def test_apply_data_error_leaves_earlier_output_untouched(tmp_path, monkeypatch,
     assert out_path.read_text(encoding="utf-8") == "a b c\nd e f\ng h\n"
 
 
-def test_score_reports_hand_computed_values(tmp_path, capsys):
+def test_score_reports_hand_computed_values(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     sources = _write(tmp_path / "src.txt", "a b c\na b c\na b c d\n")
     spans = _write(tmp_path / "spans.txt", "None\n1 2 x\n0 1, 1 2 b\n")
     targets = _write(tmp_path / "tgt.txt", "a b c\na x c\na b c\n")
     assert main(["score", sources, spans, targets]) == 0
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert main(["score", sources, spans, targets, "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == out
+    report = json.loads(out)
     assert report["pairs"] == 3
     assert report["agreement_rate"] == pytest.approx(2 / 3)
     assert report["mean_ratio"] == pytest.approx(1.0)
@@ -456,8 +486,8 @@ def test_a_dead_worker_ends_the_command(tmp_path):
     # A worker killed part way, as by the kernel's out-of-memory killer, ends
     # the command with a data error, no output file and no process left.
     # Workers are forked, so the patched extract_line reaches them. A chunk
-    # of these lines outgrows a pipe's buffer, which hangs Python 3.10's exit
-    # unless the pool's call queue is left unjoined (README "CLI").
+    # of these lines outgrows a pipe's buffer, the case in which a dead
+    # worker could hang the exit (CPython issue 94777).
     side = " ".join(["w"] * 400)
     pairs = _write(tmp_path / "pairs.tsv", f"{side} a\t{side} b\n" * 1200)
     out_path = tmp_path / "spans.txt"

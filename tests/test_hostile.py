@@ -4,10 +4,13 @@ Each case runs a command in a fresh interpreter, killed if it outlives
 ``BOUND_S``, and must end with its exit code and its exact stderr, with no
 traceback. The span-file cases run ``editspan apply`` on a seeded
 100,000-token source, and a failing one must leave the ``-o`` file it was
-given as it was. The long-token cases run ``extract`` and ``score`` on a
-10^6-character token that shares its character with a one-character token.
-The settings cases give bad weights, instructions and open-ended files, and
-directories in place of files, to ``extract`` and ``build-dataset``. The
+given as it was. The input-file cases give ``extract`` and ``score`` pairs,
+sentence files and sidecars: a 10^6-character token that shares its
+character with a one-character token, lines of 10^5 tokens a side, NUL,
+U+2028 or a BOM inside a line, a truncated BOM, and sidecars that lack a
+sentence, hold a short row or hold 10^5 blank lines. The settings cases give
+bad weights, instructions and open-ended files, and directories in place of
+files, to ``extract`` and ``build-dataset``. The
 file-argument cases give an empty file and a directory to each file argument
 of each command, which must end with exit 0, 1 or 2, and on failure with one
 error line, no ``-o`` file and no temporary file.
@@ -73,15 +76,56 @@ CASES = {
 
 
 LONG = "x" * 10**6
-# name: (command and its input files, file contents, expected stdout)
-LONG_TOKEN_CASES = {
-    "long-source-token": (["extract", "pairs.tsv"], {"pairs.tsv": LONG + "\tx"}, "0 1 x\n"),
-    "long-target-token": (["extract", "pairs.tsv"], {"pairs.tsv": "x\t" + LONG}, f"0 1 {LONG}\n"),
+WORDS = [f"w{i % 50}" for i in range(10**5)]
+SIDE = "a\ta\tDET\nb\tb\tNOUN\n\nb\tb\tNOUN\na\ta\tDET"  # "a b" and "b a"
+SIDECAR = ["extract", "pairs.tsv", "--provider", "sidecar", "--annotations", "side.txt"]
+
+
+def _pairs(source: str, target: str) -> dict:
+    return {"pairs.tsv": f"{source}\t{target}"}
+
+
+# name: (command and its input files, file contents, exit code, stdout, stderr);
+# bytes are written as they are, text with a newline
+INPUT_CASES = {
+    "long-source-token": (["extract", "pairs.tsv"], _pairs(LONG, "x"), 0, "0 1 x\n", ""),
+    "long-target-token": (["extract", "pairs.tsv"], _pairs("x", LONG), 0, f"0 1 {LONG}\n", ""),
     "long-hypothesis-token": (
         ["score", "sources.txt", "spans.txt", "targets.txt"],
-        {"sources.txt": "x b c", "spans.txt": "0 1 " + LONG, "targets.txt": "y b c"},
+        {"sources.txt": "x b c", "spans.txt": "0 1 " + LONG, "targets.txt": "y b c"}, 0,
         '{\n  "pairs": 1,\n  "agreement_rate": 1.0,\n  "mean_ratio": 1.0,\n'
-        '  "precision": 0.0,\n  "recall": 0.0,\n  "f05": 0.0,\n  "ignored_fragments": 0\n}\n',
+        '  "precision": 0.0,\n  "recall": 0.0,\n  "f05": 0.0,\n  "ignored_fragments": 0\n}\n', "",
+    ),
+    # NUL and a BOM are not whitespace to str.split; U+2028 is
+    "nul-in-pair": (["extract", "pairs.tsv"], _pairs("a\x00b c", "a c"), 0, "0 1 a\n", ""),
+    "line-separator-in-pair": (
+        ["extract", "pairs.tsv"], _pairs("a\u2028b c", "a c"), 0, "1 2\n", "",
+    ),
+    "bom-inside-pair": (["extract", "pairs.tsv"], _pairs("a\ufeffb c", "a c"), 0, "0 1 a\n", ""),
+    "truncated-bom": (
+        ["extract", "pairs.tsv"], {"pairs.tsv": b"\xef\xbba b\tb a\n"}, 2, "",
+        "editspan: error: pairs.tsv: not valid UTF-8 text (invalid continuation byte)\n",
+    ),
+    "tokens-1e5-one-edit": (
+        ["extract", "pairs.tsv"],
+        _pairs(" ".join(WORDS), " ".join(WORDS[:50_000] + ["x"] + WORDS[50_001:])), 0,
+        "50000 50001 x\n", "",
+    ),
+    "tokens-1e5-unrelated": (
+        ["extract", "pairs.tsv"], _pairs(" ".join(["a"] * 10**5), " ".join(["b"] * 10**5)), 2,
+        "", "editspan: error: aligning 100000 x 100000 tokens needs a band of 10000200001 "
+        "cells, more than the budget of 1048576\n",
+    ),
+    "sidecar-missing-sentence": (
+        SIDECAR, {**_pairs("a b", "b a"), "side.txt": "a\ta\tDET\nb\tb\tNOUN"}, 2, "",
+        "editspan: error: no sidecar annotations for sentence: 'b a'\n",
+    ),
+    "sidecar-short-row": (
+        SIDECAR, {**_pairs("a b", "b a"), "side.txt": SIDE.replace("b\tb\tNOUN", "b\tb", 1)}, 2,
+        "", "editspan: error: side.txt: line 2: expected surface<TAB>lemma<TAB>pos\n",
+    ),
+    "sidecar-1e5-blank-lines": (
+        SIDECAR, {**_pairs("a b", "b a"), "side.txt": "\n" * 10**5 + SIDE}, 0, "0 2 b a\n", "",
     ),
 }
 
@@ -123,14 +167,17 @@ def test_apply_hostile_span_file(name, source_tokens, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sources.txt", "spans.txt"]
 
 
-@pytest.mark.parametrize("name", LONG_TOKEN_CASES)
-def test_long_token_against_one_character(name, tmp_path):
-    argv, files, expected = LONG_TOKEN_CASES[name]
-    for file_name, text in files.items():
-        (tmp_path / file_name).write_text(text + "\n", encoding="utf-8")
+@pytest.mark.parametrize("name", INPUT_CASES)
+def test_hostile_input_file(name, tmp_path):
+    argv, files, code, expected_out, expected_err = INPUT_CASES[name]
+    for file_name, data in files.items():
+        if isinstance(data, str):
+            data = (data + "\n").encode("utf-8")
+        (tmp_path / file_name).write_bytes(data)
     result = _run(name, argv, tmp_path)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == expected
+    assert (result.returncode, result.stdout, result.stderr) == (code, expected_out, expected_err)
+    # no output file is named, and none is left
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 PAIRS = "a b\tb a\n"
@@ -193,6 +240,12 @@ SETTINGS_CASES = {
         ["extract", "pairs.tsv", "--provider", "sidecar", "--annotations", "./side.txt"],
         {"side.txt": "a\ta"}, 2,
         "editspan: error: ./side.txt: line 1: expected surface<TAB>lemma<TAB>pos\n",
+    ),
+    "open-ended-lone-surrogate": (
+        DATASET + ["--open-ended", "bad.jsonl"],
+        {"bad.jsonl": '{"instruction": "q\\ud800", "output": "a"}'}, 2,
+        "editspan: error: bad.jsonl: line 1: instruction is not valid Unicode: "
+        "it holds a lone surrogate\n",
     ),
     # the rest of the message differs between Python versions
     "open-ended-nested-deep": (

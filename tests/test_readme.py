@@ -1,14 +1,17 @@
-"""README's examples: each ``python`` block runs as written, and the weights
-file shown is the default weights."""
+"""README's examples: each ``python`` block runs as written, the weights
+file shown is the default weights, and README, the package metadata and CI
+name one lowest Python."""
 
 from __future__ import annotations
 
 import re
+import tomllib
 from pathlib import Path
 
 from editspan import CostWeights
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _blocks(language: str) -> list[str]:
@@ -27,3 +30,12 @@ def test_weights_example_is_the_default_weights(tmp_path):
     path = tmp_path / "weights.cfg"
     path.write_text(block, encoding="utf-8")
     assert CostWeights.from_file(path) == CostWeights()
+
+
+def test_readme_pyproject_and_ci_name_one_lowest_python():
+    (readme,) = re.findall(r"^Python (3\.\d+)\+", README, re.M)
+    with open(ROOT / "pyproject.toml", "rb") as file:
+        requires = tomllib.load(file)["project"]["requires-python"]
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    (matrix,) = re.findall(r"python-version: \[\"(3\.\d+)\"", ci)
+    assert (requires, matrix) == (f">={readme}", readme)
