@@ -14,15 +14,14 @@ __version__ = "0.1.0"
 
 # each public name, by the module that defines it
 _HOMES = {
-    "alignment": "AlignOp Alignment CostWeights OpKind align canonicalize char_levenshtein "
-                 "extract_line extract_spans merge_ops read_kv_config",
+    "alignment": "AlignOp Alignment CostWeights OpKind align char_levenshtein extract_line "
+                 "extract_spans merge_ops read_kv_config",
     "codec": "EditScript EditSpan NONE_SENTINEL ParseReport apply_edits parse serialize "
              "split_fragments",
-    "dataset": "DatasetRecord ValidationReport build_task_records mix_and_sample "
-               "read_dataset_jsonl read_open_ended_jsonl validate_dataset write_jsonl",
+    "dataset": "DatasetRecord build_task_records mix_and_sample read_dataset_jsonl "
+               "read_open_ended_jsonl write_jsonl",
     "errors": "BudgetError ConfigError DataError EditSpanError PairLineError",
-    "metrics": "CompressionStat EditScore PairStats agreement compression edit_f05 pair_stats "
-               "reduce_stats",
+    "metrics": "CompressionStat EditScore PairStats compression edit_f05 pair_stats reduce_stats",
     "tasks": "MixSpec OPEN_ENDED_TASK TASK_INSTRUCTIONS",
     "text": "AnnotatedToken AnnotationProvider NaiveProvider POS_TAGS Sentence SidecarProvider "
             "annotate detokenize make_provider normalize_pos parse_pair_line tokenize",

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from editspan._value import Value
-from editspan.codec import EditScript, EditSpan, apply_edits
+from editspan.codec import EditScript, EditSpan
 from editspan.errors import BudgetError, ConfigError
 from editspan.text import (
     AnnotatedToken,
@@ -523,20 +523,6 @@ def _extract_annotated(
     return EditScript._trusted(spans=tuple(spans), source_len=len(src_annot))
 
 
-def canonicalize(
-    script: EditScript,
-    src: Sentence,
-    provider=None,
-    weights: Optional[CostWeights] = None,
-) -> EditScript:
-    """Re-extract the script's effect as the alignment would have produced it.
-
-    Applies ``script`` to ``src`` and extracts spans from the resulting pair.
-    Idempotent: canonical scripts map to themselves.
-    """
-    return extract_spans(src, apply_edits(script, src), provider, weights)
-
-
 def extract_line(
     line: str,
     lineno: int = 0,
@@ -547,7 +533,11 @@ def extract_line(
 
     Raises:
         PairLineError: the line is not exactly two tab-separated fields.
+        BudgetError: the pair is too long to align; the message names the line.
     """
     src_text, tgt_text = parse_pair_line(line, lineno)
     src, tgt = tokenize(src_text), tokenize(tgt_text)
-    return src, tgt, extract_spans(src, tgt, provider, weights)
+    try:
+        return src, tgt, extract_spans(src, tgt, provider, weights)
+    except BudgetError as exc:
+        raise BudgetError(f"line {lineno}: {exc}") from None

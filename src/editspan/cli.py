@@ -17,7 +17,7 @@ from itertools import islice, zip_longest
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from editspan.codec import apply_edits, parse, serialize
-from editspan.errors import ConfigError, DataError
+from editspan.errors import BudgetError, ConfigError, DataError
 from editspan.tasks import TASK_INSTRUCTIONS, TASK_LABELS, MixSpec
 from editspan.text import (
     AnnotationProvider,
@@ -130,11 +130,11 @@ def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
     return None
 
 
-def _record_one(job: tuple[str, str, str]) -> DatasetRecord:
+def _record_one(job: tuple[str, str, int, str]) -> DatasetRecord:
     from editspan.dataset import pair_record
 
-    task, instruction, line = job
-    return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS)
+    task, instruction, lineno, line = job
+    return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS, lineno)
 
 
 def _read_rows(paths: dict[str, str]) -> Iterator[tuple[str, ...]]:
@@ -201,16 +201,26 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _note_over_budget(stats: Iterable[PairStats], spans_path: str) -> Iterator[PairStats]:
-    """Pass ``stats`` through, noting on stderr each hypothesis too long to align."""
-    for lineno, stat in enumerate(stats, 1):
-        if stat.over_budget:
-            print(
-                f"{spans_path}: line {lineno}: the hypothesis's result is too long to "
-                "align; counted as not agreeing",
-                file=sys.stderr,
-            )
-        yield stat
+def _note_over_budget(
+    stats: Iterable[PairStats], spans_path: str, targets_path: str
+) -> Iterator[PairStats]:
+    """Pass ``stats`` through, noting on stderr each hypothesis too long to align.
+
+    A gold target too long to align stops the command; ``_map_lines`` yields
+    every result before it, so its ``BudgetError`` is given the line's number.
+    """
+    lineno = 0
+    try:
+        for lineno, stat in enumerate(stats, 1):
+            if stat.over_budget:
+                print(
+                    f"{spans_path}: line {lineno}: the hypothesis's result is too long to "
+                    "align; counted as not agreeing",
+                    file=sys.stderr,
+                )
+            yield stat
+    except BudgetError as exc:
+        raise BudgetError(f"{targets_path}: line {lineno + 1}: {exc}") from None
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -221,7 +231,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         {"sources": args.sources, "spans": args.spans, "targets": args.targets}
     )
     stats = _map_lines(_score_one, rows, args.jobs, provider, weights)
-    report = reduce_stats(_note_over_budget(stats, args.spans))
+    report = reduce_stats(_note_over_budget(stats, args.spans, args.targets))
     if args.report == "text":
         for key, value in report.items():
             print(f"{key}: {value}")
@@ -259,9 +269,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown task(s) in instructions file: {sorted(unknown)}")
     spec = MixSpec(args.per_task, args.open_count, args.seed)
     corpus_paths = {task: getattr(args, task) for task in TASK_INSTRUCTIONS}
-    # Check every line first, keeping only its text; sampling needs nothing
-    # but the counts, so only the sampled lines are ever aligned.
-    corpora: dict[str, list[str]] = {}
+    # Check every line first, keeping only its number and text; sampling needs
+    # nothing but the counts, so only the sampled lines are ever aligned.
+    corpora: dict[str, list[tuple[int, str]]] = {}
     for task, path in corpus_paths.items():
         corpora[task], skipped = scan_pair_lines(read_lines(path), provider)
         for note in skipped:
@@ -270,12 +280,17 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     sizes = {task: len(lines) for task, lines in corpora.items()}
     picks = sample_picks(sizes, len(open_ended), spec)
     jobs = [
-        (task, overrides.get(task, TASK_INSTRUCTIONS[task]), corpora[task][i])
+        (task, overrides.get(task, TASK_INSTRUCTIONS[task]), *corpora[task][i])
         for task, i in picks
         if task is not None
     ]
-    built = iter(list(_map_lines(_record_one, jobs, args.jobs, provider, weights)))
-    mixed = [open_ended[i] if task is None else next(built) for task, i in picks]
+    built: list[DatasetRecord] = []
+    try:
+        built.extend(_map_lines(_record_one, jobs, args.jobs, provider, weights))
+    except BudgetError as exc:  # every record before the failing job was built
+        raise BudgetError(f"{corpus_paths[jobs[len(built)][0]]}: {exc}") from None
+    records = iter(built)
+    mixed = [open_ended[i] if task is None else next(records) for task, i in picks]
     write_jsonl(mixed, args.output)
     counts = Counter(record.task for record in mixed)
     for task in TASK_LABELS:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from editspan._value import Value
 from editspan.alignment import CostWeights, extract_line
-from editspan.codec import apply_edits, parse, serialize
+from editspan.codec import serialize
 from editspan.errors import ConfigError, DataError, PairLineError
 # the task table, MixSpec and atomic_output are importable from here, too
 from editspan.tasks import OPEN_ENDED_TASK, TASK_INSTRUCTIONS, TASK_LABELS, MixSpec
@@ -93,15 +93,18 @@ def build_task_records(
     return records, skipped
 
 
-def scan_pair_lines(lines: Iterable[str], provider=None) -> tuple[list[str], list[str]]:
+def scan_pair_lines(
+    lines: Iterable[str], provider=None
+) -> tuple[list[tuple[int, str]], list[str]]:
     """Check ``source<TAB>target`` lines as ``build_task_records`` would, without aligning.
 
-    Returns the well-formed lines, plus the same diagnostics for malformed
-    ones. Both sides of every well-formed line are tokenized and annotated,
-    so a provider's ``DataError`` (a sentence missing from the sidecar) stops
-    the build whether or not the line is sampled.
+    Returns the well-formed lines with their 1-based line numbers, plus the
+    same diagnostics for malformed ones. Both sides of every well-formed line
+    are tokenized and annotated, so a provider's ``DataError`` (a sentence
+    missing from the sidecar) stops the build whether or not the line is
+    sampled.
     """
-    valid: list[str] = []
+    valid: list[tuple[int, str]] = []
     skipped: list[str] = []
     for lineno, line in enumerate(lines, 1):
         try:
@@ -111,7 +114,7 @@ def scan_pair_lines(lines: Iterable[str], provider=None) -> tuple[list[str], lis
             continue
         annotate(tokenize(src_text), provider)
         annotate(tokenize(tgt_text), provider)
-        valid.append(line)
+        valid.append((lineno, line))
     return valid, skipped
 
 
@@ -163,49 +166,6 @@ def mix_and_sample(
         open_ended[i] if name is None else task_sets[name][i]
         for name, i in sample_picks(sizes, len(open_ended), spec)
     ]
-
-
-class ValidationReport(Value):
-    """Outcome of validating built records."""
-
-    def __init__(self, total: int, checked: int, failures: tuple[tuple[int, str], ...]) -> None:
-        self.__dict__.update(total=total, checked=checked, failures=failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def validate_dataset(
-    records: Sequence[DatasetRecord],
-    targets: Optional[Sequence[Optional[str]]] = None,
-) -> ValidationReport:
-    """Check every rewriting-task record's output against its input.
-
-    The output must parse with zero ignored fragments against the tokenized
-    input. When ``targets`` supplies the original target text for a record,
-    applying the parsed script must reproduce it. Open-ended records are not
-    checked.
-    """
-    if targets is not None and len(targets) != len(records):
-        raise ValueError("targets must align one-to-one with records")
-    checked = 0
-    failures: list[tuple[int, str]] = []
-    for idx, record in enumerate(records):
-        if record.task not in TASK_INSTRUCTIONS:
-            continue
-        checked += 1
-        src = tokenize(record.input)
-        report = parse(record.output, len(src))
-        if report.ignored:
-            failures.append((idx, f"{report.ignored} fragment(s) failed to parse"))
-            continue
-        if targets is not None and targets[idx] is not None:
-            produced = detokenize(apply_edits(report.script, src))
-            expected = detokenize(tokenize(targets[idx]))
-            if produced != expected:
-                failures.append((idx, "applying the output does not reproduce the target"))
-    return ValidationReport(len(records), checked, tuple(failures))
 
 
 def write_jsonl(records: Iterable[DatasetRecord], path: Union[str, Path]) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from editspan._value import Value
-from editspan.alignment import CostWeights, _extract_annotated, canonicalize
+from editspan.alignment import CostWeights, _extract_annotated
 from editspan.codec import EditScript, apply_edits, parse
 from editspan.errors import BudgetError, DataError
 from editspan.text import Sentence, annotate
@@ -64,23 +64,6 @@ def edit_f05(hyp: EditScript, gold: EditScript) -> EditScore:
         fp=len(hyp_set - gold_set),
         fn=len(gold_set - hyp_set),
     )
-
-
-def agreement(
-    hyp: EditScript,
-    src: Sentence,
-    provider=None,
-    weights: Optional[CostWeights] = None,
-) -> bool:
-    """True iff ``hyp`` is exactly what extraction would produce for its own effect.
-
-    A hypothesis whose result is past the alignment budget, such as a
-    repetition loop, does not agree, as in ``pair_stats``.
-    """
-    try:
-        return hyp.spans == canonicalize(hyp, src, provider, weights).spans
-    except BudgetError:
-        return False
 
 
 class PairStats(Value):

@@ -14,6 +14,11 @@ rates computed together in one function, the dataset mix that samples the
 record lists themselves, and the sidecar loader that keeps every row and builds
 a fresh token tuple on each lookup. Tests require the library to give identical
 results.
+
+The rest are oracles built on the library's own extraction, parse and apply:
+``canonicalize`` and ``agreement``, the general form of ``pair_stats``'s
+agreement rule, and ``validate_dataset``, which checks the records a dataset
+build wrote.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import unicodedata
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
+from editspan._value import Value
 from editspan.alignment import (
     AlignOp,
     Alignment,
@@ -31,21 +37,23 @@ from editspan.alignment import (
     DEFAULT_WEIGHTS,
     OpKind,
     align,
-    canonicalize,
     char_levenshtein,
     extract_spans,
     merge_ops,
 )
-from editspan.codec import EditScript, EditSpan, ParseReport
+from editspan.codec import EditScript, EditSpan, ParseReport, apply_edits, parse
 from editspan.dataset import DatasetRecord, MixSpec
-from editspan.errors import DataError
+from editspan.errors import BudgetError, DataError
 from editspan.metrics import PairStats, compression, edit_f05
+from editspan.tasks import TASK_INSTRUCTIONS
 from editspan.text import (
     AnnotatedToken,
     Sentence,
     annotate,
+    detokenize,
     normalize_pos,
     read_lines,
+    tokenize,
 )
 
 
@@ -363,6 +371,37 @@ def reference_extract_spans(
     ), len(src))
 
 
+def canonicalize(
+    script: EditScript,
+    src: Sentence,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+) -> EditScript:
+    """Re-extract the script's effect as the alignment would have produced it.
+
+    Applies ``script`` to ``src`` and extracts spans from the resulting pair.
+    Idempotent: canonical scripts map to themselves.
+    """
+    return extract_spans(src, apply_edits(script, src), provider, weights)
+
+
+def agreement(
+    hyp: EditScript,
+    src: Sentence,
+    provider=None,
+    weights: Optional[CostWeights] = None,
+) -> bool:
+    """True iff ``hyp`` is exactly what extraction would produce for its own effect.
+
+    A hypothesis whose result is past the alignment budget, such as a
+    repetition loop, does not agree, as in ``pair_stats``.
+    """
+    try:
+        return hyp.spans == canonicalize(hyp, src, provider, weights).spans
+    except BudgetError:
+        return False
+
+
 def reference_pair_stats(
     src: Sentence,
     hyp_text: str,
@@ -384,6 +423,49 @@ def reference_pair_stats(
         fn=score.fn,
         ignored=report.ignored,
     )
+
+
+class ValidationReport(Value):
+    """Outcome of validating built records."""
+
+    def __init__(self, total: int, checked: int, failures: tuple[tuple[int, str], ...]) -> None:
+        self.__dict__.update(total=total, checked=checked, failures=failures)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def validate_dataset(
+    records: Sequence[DatasetRecord],
+    targets: Optional[Sequence[Optional[str]]] = None,
+) -> ValidationReport:
+    """Check every rewriting-task record's output against its input.
+
+    The output must parse with zero ignored fragments against the tokenized
+    input. When ``targets`` supplies the original target text for a record,
+    applying the parsed script must reproduce it. Open-ended records are not
+    checked.
+    """
+    if targets is not None and len(targets) != len(records):
+        raise ValueError("targets must align one-to-one with records")
+    checked = 0
+    failures: list[tuple[int, str]] = []
+    for idx, record in enumerate(records):
+        if record.task not in TASK_INSTRUCTIONS:
+            continue
+        checked += 1
+        src = tokenize(record.input)
+        report = parse(record.output, len(src))
+        if report.ignored:
+            failures.append((idx, f"{report.ignored} fragment(s) failed to parse"))
+            continue
+        if targets is not None and targets[idx] is not None:
+            produced = detokenize(apply_edits(report.script, src))
+            expected = detokenize(tokenize(targets[idx]))
+            if produced != expected:
+                failures.append((idx, "applying the output does not reproduce the target"))
+    return ValidationReport(len(records), checked, tuple(failures))
 
 
 def reference_edit_score(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

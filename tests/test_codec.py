@@ -29,10 +29,9 @@ from editspan.codec import (
     serialize,
     split_fragments,
 )
-from editspan.alignment import canonicalize
 from editspan.errors import DataError
 from editspan.text import Sentence, detokenize, tokenize
-from reference import reference_parse, reference_split_fragments
+from reference import canonicalize, reference_parse, reference_split_fragments
 
 
 def test_serialize_reference_script():

@@ -20,12 +20,11 @@ from editspan.dataset import (
     read_dataset_jsonl,
     read_open_ended_jsonl,
     scan_pair_lines,
-    validate_dataset,
     write_jsonl,
 )
 from editspan.errors import ConfigError, DataError
 from editspan.text import SidecarProvider
-from reference import reference_mix_and_sample
+from reference import reference_mix_and_sample, validate_dataset
 
 
 def test_instruction_strings_are_fixed():
@@ -183,13 +182,13 @@ def test_scan_pair_lines_checks_without_aligning(tmp_path, monkeypatch):
     monkeypatch.setattr(alignment, "_fill_band", no_align)
     lines = ["a b\ta c", "no tab", "x\ty", "one\ttwo\tthree"]
     valid, skipped = scan_pair_lines(lines)
-    assert valid == ["a b\ta c", "x\ty"]
+    assert valid == [(1, "a b\ta c"), (3, "x\ty")]
     monkeypatch.undo()
     assert skipped == build_task_records(lines, "gec")[1]
     sidecar = tmp_path / "annotations.tsv"
     sidecar.write_text("good\tgood\tADJ\n\npair\tpair\tNOUN\n", encoding="utf-8")
     provider = SidecarProvider.from_file(sidecar)
-    assert scan_pair_lines(["good\tpair", "no tab"], provider)[0] == ["good\tpair"]
+    assert scan_pair_lines(["good\tpair", "no tab"], provider)[0] == [(1, "good\tpair")]
     for missing in ("unknown\tpair", "good\tunknown"):
         with pytest.raises(DataError, match="no sidecar annotations for sentence: 'unknown'"):
             scan_pair_lines(["good\tpair", missing], provider)

@@ -79,6 +79,11 @@ LONG = "x" * 10**6
 WORDS = [f"w{i % 50}" for i in range(10**5)]
 SIDE = "a\ta\tDET\nb\tb\tNOUN\n\nb\tb\tNOUN\na\ta\tDET"  # "a b" and "b a"
 SIDECAR = ["extract", "pairs.tsv", "--provider", "sidecar", "--annotations", "side.txt"]
+A_1E5, B_1E5 = " ".join(["a"] * 10**5), " ".join(["b"] * 10**5)
+OVER_BUDGET = (
+    "aligning 100000 x 100000 tokens needs a band of 10000200001 cells, "
+    "more than the budget of 1048576\n"
+)
 
 
 def _pairs(source: str, target: str) -> dict:
@@ -112,9 +117,32 @@ INPUT_CASES = {
         "50000 50001 x\n", "",
     ),
     "tokens-1e5-unrelated": (
-        ["extract", "pairs.tsv"], _pairs(" ".join(["a"] * 10**5), " ".join(["b"] * 10**5)), 2,
-        "", "editspan: error: aligning 100000 x 100000 tokens needs a band of 10000200001 "
-        "cells, more than the budget of 1048576\n",
+        ["extract", "pairs.tsv"], _pairs(A_1E5, B_1E5), 2, "",
+        "editspan: error: line 1: " + OVER_BUDGET,
+    ),
+    # both gec lines are sampled; the one past the budget is named by file and line
+    "tokens-1e5-unrelated-build-dataset": (
+        [
+            "build-dataset", "--gec", "gec.tsv", "--paraphrase", "pairs.tsv", "--style",
+            "pairs.tsv", "--simplify", "pairs.tsv", "--open-ended", "open.jsonl",
+            "--per-task", "2", "--open-count", "1", "-o", "out.jsonl",
+        ],
+        {
+            "gec.tsv": f"no tab\na b\tb a\n{A_1E5}\t{B_1E5}", "pairs.tsv": "a b\tb a\nb a\ta b",
+            "open.jsonl": '{"instruction": "q", "output": "a"}',
+        },
+        2, "",
+        "gec.tsv: skipped line 1: expected source<TAB>target, got 1 fields\n"
+        "editspan: error: gec.tsv: line 3: " + OVER_BUDGET,
+    ),
+    # a gold target past the budget is named by the targets file and line
+    "tokens-1e5-unrelated-score": (
+        ["score", "sources.txt", "spans.txt", "targets.txt"],
+        {
+            "sources.txt": f"a b\n{A_1E5}", "spans.txt": "None\nNone",
+            "targets.txt": f"b a\n{B_1E5}",
+        },
+        2, "", "editspan: error: targets.txt: line 2: " + OVER_BUDGET,
     ),
     "sidecar-missing-sentence": (
         SIDECAR, {**_pairs("a b", "b a"), "side.txt": "a\ta\tDET\nb\tb\tNOUN"}, 2, "",

@@ -27,14 +27,13 @@ from editspan.metrics import (
     CompressionStat,
     EditScore,
     PairStats,
-    agreement,
     compression,
     edit_f05,
     pair_stats,
     reduce_stats,
 )
 from editspan.text import NaiveProvider, tokenize
-from reference import reference_edit_score, reference_pair_stats
+from reference import agreement, reference_edit_score, reference_pair_stats
 
 
 def test_compression_single_insertion_reference_pair():

@@ -1,6 +1,6 @@
 """README's examples: each ``python`` block runs as written, the weights
-file shown is the default weights, and README, the package metadata and CI
-name one lowest Python."""
+file shown is the default weights, every entry point it lists is public, and
+README, the package metadata and CI name one lowest Python."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import re
 import tomllib
 from pathlib import Path
 
+import editspan
 from editspan import CostWeights
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +31,15 @@ def test_weights_example_is_the_default_weights(tmp_path):
     path = tmp_path / "weights.cfg"
     path.write_text(block, encoding="utf-8")
     assert CostWeights.from_file(path) == CostWeights()
+
+
+def test_listed_entry_points_are_public():
+    (paragraph,) = re.findall(r"^Higher-level entry points:(.*?)\n\n", README, re.M | re.S)
+    names = [name for name in re.findall(r"`([^`]+)`", paragraph) if name.isidentifier()]
+    assert len(names) > 10
+    for name in names:
+        assert name in editspan.__all__, name
+        getattr(editspan, name)
 
 
 def test_readme_pyproject_and_ci_name_one_lowest_python():

@@ -35,8 +35,8 @@ from editspan import (
     ParseReport,
     Sentence,
     SidecarProvider,
-    ValidationReport,
 )
+from reference import ValidationReport
 
 _SPAN = EditSpan(1, 2, ("goes",))
 _SCRIPT = EditScript((_SPAN,), 5)
