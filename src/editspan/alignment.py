@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, 
 
 from editspan._value import Value
 from editspan.codec import EditScript, EditSpan
-from editspan.errors import BudgetError, ConfigError
+from editspan.errors import BudgetError, ConfigError, DataError
 from editspan.text import (
     AnnotatedToken,
     Sentence,
@@ -39,8 +39,8 @@ MAX_WEIGHT = 1e300
 # The relative margin of the band's stopping rule. It exceeds the rounding of
 # any path sum of at most 2 * MAX_BAND_CELLS terms by orders of magnitude.
 _BAND_MARGIN = 1e-6
-# A window of more than _START_ROWS rows starts at a half-width of one plus
-# three quarters of its unmatched words, at most _START_CAP (README, "Aligner").
+# A window of more than _START_ROWS rows starts at a half-width of one plus three
+# cheapest SUBs in excursions per unmatched word, at most _START_CAP (README, "Aligner").
 _START_ROWS = 8
 _START_CAP = 8
 
@@ -141,10 +141,6 @@ class OpKind(Enum):
     DEL = "del"
     TRANS = "trans"
 
-    # Enum's own __hash__ hashes the name in Python code; a member is a
-    # singleton equal only to itself, so its identity hash will do
-    __hash__ = object.__hash__
-
 
 class AlignOp(NamedTuple):
     """One alignment operation covering half-open token ranges on both sides."""
@@ -207,8 +203,6 @@ def _char_distance_cached(a: str, b: str) -> int:
     # D[len(a)][len(b)] = len(b) + the +1 deltas - the -1 deltas.
     if len(a) < len(b):
         a, b = b, a  # scan the shorter string: one loop step per character
-    if not b:
-        return len(a)
     if len(a) <= _MASK_CACHE_CUTOFF:
         peq = _token_masks(a)
     else:
@@ -231,10 +225,6 @@ def _char_distance_cached(a: str, b: str) -> int:
 
 def char_levenshtein(a: str, b: str) -> int:
     """Unweighted character-level edit distance."""
-    if a == b:
-        return 0
-    if a > b:  # the distance is symmetric; normalize for cache reuse
-        a, b = b, a
     return _char_distance_cached(a, b)
 
 
@@ -275,13 +265,14 @@ def _fill_band(
     whole = min(n, m)
 
     # Any band that passes the test below is exact, so the first one may start
-    # wider than k = 1: a word on one side of the window and not the other
-    # costs about three quarters of an excursion at the default weights. The
-    # cap keeps that pass linear, and a start past the budget falls back to 1.
+    # wider than k = 1: a word on one side of the window and not the other costs
+    # about three of the cheapest SUBs (three quarters of an excursion at the default
+    # weights). The cap keeps that pass linear; a start past the budget falls back to 1.
     k = 1
     if n - p > _START_ROWS:
         s_win, t_win = {a.surface for a in src[p:n]}, set(t_surf[p:m])
-        k = min(_START_CAP, whole, 1 + 3 * max(len(s_win - t_win), len(t_win - s_win)) // 4)
+        cheap = max(w.sub_floor, w.base_sub - w.w_lemma - w.w_pos - w.w_char) / excursion
+        k = min(_START_CAP, whole, 1 + int(3 * max(len(s_win - t_win), len(t_win - s_win)) * cheap))
         if (n + 1) * min(m + 1, abs(d) + 2 * k + 1) > MAX_BAND_CELLS:
             k = 1
     while True:
@@ -533,11 +524,12 @@ def extract_line(
 
     Raises:
         PairLineError: the line is not exactly two tab-separated fields.
-        BudgetError: the pair is too long to align; the message names the line.
+        DataError: a side is missing from a sidecar provider, or the pair is
+            too long to align (a ``BudgetError``); the message names the line.
     """
     src_text, tgt_text = parse_pair_line(line, lineno)
     src, tgt = tokenize(src_text), tokenize(tgt_text)
     try:
         return src, tgt, extract_spans(src, tgt, provider, weights)
-    except BudgetError as exc:
-        raise BudgetError(f"line {lineno}: {exc}") from None
+    except DataError as exc:
+        raise type(exc)(f"line {lineno}: {exc}") from None

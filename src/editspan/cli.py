@@ -106,11 +106,14 @@ def _apply_one(row: tuple[str, str]) -> tuple[str, int]:
     return detokenize(apply_edits(report.script, src)), report.ignored
 
 
-def _score_one(row: tuple[str, str, str]) -> PairStats:
+def _score_one(numbered: tuple[int, tuple[str, str, str]]) -> PairStats:
     from editspan.metrics import pair_stats
 
-    source, span_text, target = row
-    return pair_stats(tokenize(source), span_text, tokenize(target), _PROVIDER, _WEIGHTS)
+    lineno, (source, span_text, target) = numbered
+    try:
+        return pair_stats(tokenize(source), span_text, tokenize(target), _PROVIDER, _WEIGHTS)
+    except DataError as exc:  # the three files are line-aligned
+        raise type(exc)(f"line {lineno}: {exc}") from None
 
 
 def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
@@ -206,10 +209,9 @@ def _note_over_budget(
 ) -> Iterator[PairStats]:
     """Pass ``stats`` through, noting on stderr each hypothesis too long to align.
 
-    A gold target too long to align stops the command; ``_map_lines`` yields
-    every result before it, so its ``BudgetError`` is given the line's number.
+    A gold target too long to align stops the command; its ``BudgetError``,
+    which names the line, is given the targets file's name.
     """
-    lineno = 0
     try:
         for lineno, stat in enumerate(stats, 1):
             if stat.over_budget:
@@ -220,7 +222,7 @@ def _note_over_budget(
                 )
             yield stat
     except BudgetError as exc:
-        raise BudgetError(f"{targets_path}: line {lineno + 1}: {exc}") from None
+        raise BudgetError(f"{targets_path}: {exc}") from None
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -230,7 +232,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     rows = _read_rows(
         {"sources": args.sources, "spans": args.spans, "targets": args.targets}
     )
-    stats = _map_lines(_score_one, rows, args.jobs, provider, weights)
+    stats = _map_lines(_score_one, enumerate(rows, 1), args.jobs, provider, weights)
     report = reduce_stats(_note_over_budget(stats, args.spans, args.targets))
     if args.report == "text":
         for key, value in report.items():
@@ -273,7 +275,11 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     # nothing but the counts, so only the sampled lines are ever aligned.
     corpora: dict[str, list[tuple[int, str]]] = {}
     for task, path in corpus_paths.items():
-        corpora[task], skipped = scan_pair_lines(read_lines(path), provider)
+        lines = list(read_lines(path))  # a line that does not decode names the file alone
+        try:
+            corpora[task], skipped = scan_pair_lines(lines, provider)
+        except DataError as exc:  # a sentence missing from the sidecar
+            raise DataError(f"{path}: {exc}") from None
         for note in skipped:
             print(f"{path}: skipped {note}", file=sys.stderr)
     open_ended = read_open_ended_jsonl(args.open_ended)

@@ -102,7 +102,7 @@ def scan_pair_lines(
     same diagnostics for malformed ones. Both sides of every well-formed line
     are tokenized and annotated, so a provider's ``DataError`` (a sentence
     missing from the sidecar) stops the build whether or not the line is
-    sampled.
+    sampled; its message names the line.
     """
     valid: list[tuple[int, str]] = []
     skipped: list[str] = []
@@ -112,8 +112,11 @@ def scan_pair_lines(
         except PairLineError as exc:
             skipped.append(str(exc))
             continue
-        annotate(tokenize(src_text), provider)
-        annotate(tokenize(tgt_text), provider)
+        try:
+            annotate(tokenize(src_text), provider)
+            annotate(tokenize(tgt_text), provider)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
         valid.append((lineno, line))
     return valid, skipped
 

@@ -597,6 +597,13 @@ def test_a_many_edit_pair_fills_its_band_in_one_pass(monkeypatch):
             calls.clear()
             assert alignment_module._fill_band(src, tgt, weights)[3] == total
             assert [k for k, _, _ in calls] == [1, 5]
+    # at the default weights the start is 1 + 3u // 4 for u unmatched words,
+    # also where 3u / 4 is whole and a ratio rounded down would lose one
+    for u, start in ((4, 4), (8, 7)):
+        edited = [f"x{i}" if i % 7 == 3 and i < 7 * u else word for i, word in enumerate(words)]
+        calls.clear()
+        alignment_module._fill_band(src, _annotated(" ".join(edited)), weights)
+        assert calls[0][0] == start
 
 
 # the discounts reach below the floor, so a SUB of case variants costs 1e-4
@@ -626,9 +633,10 @@ def test_start_band_stays_capped_when_every_word_is_unmatched(monkeypatch):
     calls = _count_fill_rows(monkeypatch)
     script = extract_spans(src, tgt, weights=FLOOR_SUB)
     assert script.spans == (EditSpan(0, 2000, tgt.surfaces),)
-    # one pass, of a constant number of cells per row
+    # one pass, of a constant number of cells per row: a SUB costs 1e-4, so the
+    # 2,000 unmatched words ask for no start wider than k = 1
     cap = alignment_module._START_CAP
-    assert [(k, rows) for k, _, rows in calls] == [(cap, 2000)]
+    assert [(k, rows) for k, _, rows in calls] == [(1, 2000)]
     assert sum(width * rows for _, width, rows in calls) <= (2 * cap + 1) * 2000
 
 
@@ -652,11 +660,12 @@ def _start_band_pairs(seed: int, count: int):
     keeps at most 7 of the source's 12 to 19 tokens, so the short side is
     narrower than the start the window's words ask for. In one in five the
     edits replace tokens by words the source lacks, which can ask for a
-    start past the cap."""
+    start past the cap. Every fourth pair comes again at the default weights,
+    which the start's size per unmatched word is calibrated on."""
     rng = random.Random(seed)
     vocab = ("a", "b", "c", "ab", "a.")
     fresh = tuple(f"n{i}" for i in range(24))
-    for _ in range(count):
+    for draw in range(count):
         shape = rng.random()
         if shape < 0.2:
             src = [rng.choice(vocab + fresh) for _ in range(rng.randint(12, 19))]
@@ -681,6 +690,8 @@ def _start_band_pairs(seed: int, count: int):
             for sentence in (src, tgt)
         })
         yield src, tgt, provider, _random_weights(rng)
+        if draw % 4 == 0:
+            yield src, tgt, provider, alignment_module.DEFAULT_WEIGHTS
 
 
 def test_align_matches_reference_dp_from_every_kind_of_start(monkeypatch):

@@ -4,11 +4,11 @@ Each case runs a command in a fresh interpreter, killed if it outlives
 ``BOUND_S``, and must end with its exit code and its exact stderr, with no
 traceback. The span-file cases run ``editspan apply`` on a seeded
 100,000-token source, and a failing one must leave the ``-o`` file it was
-given as it was. The input-file cases give ``extract`` and ``score`` pairs,
-sentence files and sidecars: a 10^6-character token that shares its
-character with a one-character token, lines of 10^5 tokens a side, NUL,
-U+2028 or a BOM inside a line, a truncated BOM, and sidecars that lack a
-sentence, hold a short row or hold 10^5 blank lines. The settings cases give
+given as it was. The input-file cases give ``extract``, ``score`` and
+``build-dataset`` pairs, sentence files and sidecars: a 10^6-character
+token that shares its character with a one-character token, lines of 10^5
+tokens a side, NUL, U+2028 or a BOM inside a line, a truncated BOM, and
+sidecars that lack a sentence, hold a short row or hold 10^5 blank lines. The settings cases give
 bad weights, instructions and open-ended files, and directories in place of
 files, to ``extract`` and ``build-dataset``. The
 file-argument cases give an empty file and a directory to each file argument
@@ -146,7 +146,32 @@ INPUT_CASES = {
     ),
     "sidecar-missing-sentence": (
         SIDECAR, {**_pairs("a b", "b a"), "side.txt": "a\ta\tDET\nb\tb\tNOUN"}, 2, "",
-        "editspan: error: no sidecar annotations for sentence: 'b a'\n",
+        "editspan: error: line 1: no sidecar annotations for sentence: 'b a'\n",
+    ),
+    # the scan annotates every line, so the missing one is named by file and line
+    "sidecar-missing-sentence-build-dataset": (
+        [
+            "build-dataset", "--gec", "gec.tsv", "--paraphrase", "pairs.tsv", "--style",
+            "pairs.tsv", "--simplify", "pairs.tsv", "--open-ended", "open.jsonl",
+            "--provider", "sidecar", "--annotations", "side.txt", "-o", "out.jsonl",
+        ],
+        {
+            "gec.tsv": "a b\tb a\nb a\ta c", "pairs.tsv": "a b\tb a", "side.txt": SIDE,
+            "open.jsonl": '{"instruction": "q", "output": "a"}',
+        },
+        2, "", "editspan: error: gec.tsv: line 2: no sidecar annotations for sentence: 'a c'\n",
+    ),
+    # the three files are line-aligned, so the line alone is named
+    "sidecar-missing-sentence-score": (
+        [
+            "score", "sources.txt", "spans.txt", "targets.txt",
+            "--provider", "sidecar", "--annotations", "side.txt",
+        ],
+        {
+            "sources.txt": "a b\nb a", "spans.txt": "None\nNone", "targets.txt": "b a\na c",
+            "side.txt": SIDE,
+        },
+        2, "", "editspan: error: line 2: no sidecar annotations for sentence: 'a c'\n",
     ),
     "sidecar-short-row": (
         SIDECAR, {**_pairs("a b", "b a"), "side.txt": SIDE.replace("b\tb\tNOUN", "b\tb", 1)}, 2,
