@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from itertools import islice, zip_longest
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from editspan.codec import apply_edits, parse, serialize
 from editspan.errors import BudgetError, ConfigError, DataError
-from editspan.tasks import TASK_INSTRUCTIONS, TASK_LABELS, MixSpec
+from editspan.tasks import OPEN_ENDED_TASK, TASK_INSTRUCTIONS, MixSpec
 from editspan.text import (
     AnnotationProvider,
     atomic_output,
@@ -133,11 +132,14 @@ def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
     return None
 
 
-def _record_one(job: tuple[str, str, int, str]) -> DatasetRecord:
+def _record_one(job: tuple[str, str, str, int, str]) -> DatasetRecord:
     from editspan.dataset import pair_record
 
-    task, instruction, lineno, line = job
-    return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS, lineno)
+    path, task, instruction, lineno, line = job
+    try:
+        return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS, lineno)
+    except DataError as exc:  # a pair past the budget; the scan checked the rest
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _read_rows(paths: dict[str, str]) -> Iterator[tuple[str, ...]]:
@@ -263,12 +265,10 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     from editspan.dataset import read_open_ended_jsonl, sample_picks, scan_pair_lines, write_jsonl
 
     provider, weights = _load_settings(args)
-    overrides = {}
-    if args.instructions:
-        overrides = read_kv_config(args.instructions)
-        unknown = set(overrides) - set(TASK_INSTRUCTIONS)
-        if unknown:
-            raise ConfigError(f"unknown task(s) in instructions file: {sorted(unknown)}")
+    overrides = read_kv_config(args.instructions) if args.instructions else {}
+    unknown = set(overrides) - set(TASK_INSTRUCTIONS)
+    if unknown:
+        raise ConfigError(f"unknown task(s) in instructions file: {sorted(unknown)}")
     spec = MixSpec(args.per_task, args.open_count, args.seed)
     corpus_paths = {task: getattr(args, task) for task in TASK_INSTRUCTIONS}
     # Check every line first, keeping only its number and text; sampling needs
@@ -285,23 +285,21 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     open_ended = read_open_ended_jsonl(args.open_ended)
     sizes = {task: len(lines) for task, lines in corpora.items()}
     picks = sample_picks(sizes, len(open_ended), spec)
-    jobs = [
-        (task, overrides.get(task, TASK_INSTRUCTIONS[task]), *corpora[task][i])
+    instructions = TASK_INSTRUCTIONS | overrides
+    jobs = (
+        (corpus_paths[task], task, instructions[task], *corpora[task][i])
         for task, i in picks
         if task is not None
-    ]
-    built: list[DatasetRecord] = []
-    try:
-        built.extend(_map_lines(_record_one, jobs, args.jobs, provider, weights))
-    except BudgetError as exc:  # every record before the failing job was built
-        raise BudgetError(f"{corpus_paths[jobs[len(built)][0]]}: {exc}") from None
-    records = iter(built)
-    mixed = [open_ended[i] if task is None else next(records) for task, i in picks]
-    write_jsonl(mixed, args.output)
-    counts = Counter(record.task for record in mixed)
-    for task in TASK_LABELS:
-        print(f"{task} {counts[task]}")
-    print(f"total {len(mixed)}")
+    )
+    # closed before the summary, so that a pool is shut down by then
+    with closing(_map_lines(_record_one, jobs, args.jobs, provider, weights)) as records:
+        drawn = (open_ended[i] if task is None else next(records) for task, i in picks)
+        write_jsonl(drawn, args.output)
+    # sample_picks drew exactly these counts
+    for task in TASK_INSTRUCTIONS:
+        print(f"{task} {spec.per_task_count}")
+    print(f"{OPEN_ENDED_TASK} {spec.open_ended_count}")
+    print(f"total {len(picks)}")
     return 0
 
 

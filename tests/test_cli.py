@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -443,14 +444,19 @@ def test_closed_stdout_ends_the_command_quietly(tmp_path, jobs):
 
 
 _SOURCE_20 = " ".join(f"w{i}" for i in range(20)) + "\n"
+_A_1100, _B_1100 = " ".join(["a"] * 1100), " ".join(["b"] * 1100)
+# name: (command line, input files, exit code, the end of stderr); "{out}" is an
+# output path that must not be left behind
 _FAILING_RUNS = {
     # a malformed line past the first 64-line chunk
     "extract-bad-line": (
         ["extract", "{pairs}"], {"pairs": "a b c\ta x c\n" * 99 + "missing tab\n" + "a\tb\n" * 50},
+        2, "editspan: error: line 100: expected source<TAB>target, got 1 fields\n",
     ),
     # more sources than span lines, over more than one chunk
     "apply-short-spans": (
         ["apply", "{sources}", "{spans}"], {"sources": "a b c\n" * 200, "spans": "1 2 x\n" * 150},
+        2, "editspan: error: line counts differ: sources has 200, spans has 150\n",
     ),
     # line 1's hypothesis is too long to align, which is noted on stderr; line
     # 2's gold target is past the budget, a data error in the same chunk
@@ -461,8 +467,24 @@ _FAILING_RUNS = {
             "spans": "20 20 " + " ".join(["x"] * 60000) + "\nNone\nNone\n",
             "targets": _SOURCE_20.replace("\n", " .\n") + " ".join(["y"] * 60000) + "\na b\n",
         },
+        2, "editspan: error: {targets}: line 2: aligning 20 x 60000 tokens needs a band of "
+        "1259643 cells, more than the budget of 1048576\n",
     ),
-    "extract-empty": (["extract", "{pairs}"], {"pairs": ""}),
+    "extract-empty": (["extract", "{pairs}"], {"pairs": ""}, 0, ""),
+    # both gec lines are sampled; the second is past the budget and names its corpus
+    "build-dataset-past-the-budget": (
+        [
+            "build-dataset", "--gec", "{gec}", "--paraphrase", "{pairs}", "--style", "{pairs}",
+            "--simplify", "{pairs}", "--open-ended", "{open}", "--per-task", "2",
+            "--open-count", "1", "-o", "{out}",
+        ],
+        {
+            "gec": f"no tab\na b\tb a\n{_A_1100}\t{_B_1100}\n", "pairs": "a b\tb a\nb a\ta b\n",
+            "open": '{"instruction": "q", "output": "a"}\n',
+        },
+        2, "editspan: error: {gec}: line 3: aligning 1100 x 1100 tokens needs a band of "
+        "1212201 cells, more than the budget of 1048576\n",
+    ),
 }
 
 
@@ -470,16 +492,18 @@ _FAILING_RUNS = {
 def test_jobs_never_change_what_a_failing_command_printed(tmp_path, monkeypatch, case, capsys):
     # a pool fails a chunk whole, yet every line before the error is printed
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    argv, files = _FAILING_RUNS[case]
+    argv, files, code, err_end = _FAILING_RUNS[case]
     paths = {name: _write(tmp_path / f"{name}.txt", text) for name, text in files.items()}
-    argv = [arg.format(**paths) for arg in argv]
+    argv = [arg.format(**paths, out=tmp_path / "out.jsonl") for arg in argv]
     runs = []
     for jobs in ("1", "2"):
-        code = main(argv + ["--jobs", jobs])
-        out = capsys.readouterr()
-        runs.append((code, out.out, out.err))
+        runs.append((main(argv + ["--jobs", jobs]), *capsys.readouterr()))
+        # no output or temporary file is left, and no worker
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.txt" for n in files)
+        assert multiprocessing.active_children() == []
     assert runs[1] == runs[0]
-    assert runs[0][0] == (0 if case == "extract-empty" else 2)
+    assert runs[0][0] == code
+    assert runs[0][2].endswith(err_end.format(**paths))
 
 
 def test_a_dead_worker_ends_the_command(tmp_path):
@@ -729,8 +753,9 @@ def _library_dataset(paths, open_path, spec, overrides, out_path):
     [(0, 7, 5, "1"), (1, 0, 0, "1"), (2, 30, 12, "1"), (3, 11, 3, "2"), (4, 30, 0, "2")],
 )
 def test_build_dataset_matches_the_align_everything_pipeline(
-    tmp_path, seed, per_task, open_count, jobs, capsys
+    tmp_path, monkeypatch, seed, per_task, open_count, jobs, capsys
 ):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     paths, args = _large_corpora(tmp_path, seed, valid_lines=30)
     overrides = {"gec": "Fix the grammar.", "simplify": ""} if seed % 2 else {}
     config = "".join(f"{task} = {text}\n" for task, text in overrides.items())
@@ -740,6 +765,7 @@ def test_build_dataset_matches_the_align_everything_pipeline(
     ]
     out_path, ref_path = tmp_path / "mix.jsonl", tmp_path / "ref.jsonl"
     assert main(args + ["--jobs", jobs, "-o", str(out_path)]) == 0
+    assert multiprocessing.active_children() == []  # the pool is shut down
     err = capsys.readouterr().err
     spec = MixSpec(per_task, open_count, seed)
     notes = _library_dataset(paths, str(tmp_path / "open.jsonl"), spec, overrides, ref_path)

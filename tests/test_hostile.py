@@ -6,7 +6,8 @@ traceback. The span-file cases run ``editspan apply`` on a seeded
 100,000-token source, and a failing one must leave the ``-o`` file it was
 given as it was. The input-file cases give ``extract``, ``score`` and
 ``build-dataset`` pairs, sentence files and sidecars: a 10^6-character
-token that shares its character with a one-character token, lines of 10^5
+token that shares its character with a one-character token, two seeded
+random 40,000-letter tokens, lines of 10^5
 tokens a side, NUL, U+2028 or a BOM inside a line, a truncated BOM, and
 sidecars that lack a sentence, hold a short row or hold 10^5 blank lines. The settings cases give
 bad weights, instructions and open-ended files, and directories in place of
@@ -19,6 +20,7 @@ error line, no ``-o`` file and no temporary file.
 from __future__ import annotations
 
 import random
+import string
 import subprocess
 import sys
 
@@ -76,6 +78,10 @@ CASES = {
 
 
 LONG = "x" * 10**6
+_letters = random.Random(40)
+RANDOM_A, RANDOM_B = (
+    "".join(_letters.choices(string.ascii_lowercase, k=40_000)) for _ in range(2)
+)
 WORDS = [f"w{i % 50}" for i in range(10**5)]
 SIDE = "a\ta\tDET\nb\tb\tNOUN\n\nb\tb\tNOUN\na\ta\tDET"  # "a b" and "b a"
 SIDECAR = ["extract", "pairs.tsv", "--provider", "sidecar", "--annotations", "side.txt"]
@@ -95,6 +101,10 @@ def _pairs(source: str, target: str) -> dict:
 INPUT_CASES = {
     "long-source-token": (["extract", "pairs.tsv"], _pairs(LONG, "x"), 0, "0 1 x\n", ""),
     "long-target-token": (["extract", "pairs.tsv"], _pairs("x", LONG), 0, f"0 1 {LONG}\n", ""),
+    # the character distance of the one SUB is priced in full
+    "long-random-tokens": (
+        ["extract", "pairs.tsv"], _pairs(RANDOM_A, RANDOM_B), 0, f"0 1 {RANDOM_B}\n", "",
+    ),
     "long-hypothesis-token": (
         ["score", "sources.txt", "spans.txt", "targets.txt"],
         {"sources.txt": "x b c", "spans.txt": "0 1 " + LONG, "targets.txt": "y b c"}, 0,
