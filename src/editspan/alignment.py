@@ -10,10 +10,10 @@ non-match steps on that path becomes one edit span over source gap positions.
 from __future__ import annotations
 
 import math
+import os
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
-from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from editspan._value import Value
@@ -109,11 +109,11 @@ class CostWeights(Value):
             raise ConfigError(str(exc)) from None
 
     @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "CostWeights":
+    def from_file(cls, path: str | os.PathLike[str]) -> "CostWeights":
         return cls.from_mapping(read_kv_config(path))
 
 
-def read_kv_config(path: Union[str, Path]) -> dict[str, str]:
+def read_kv_config(path: str | os.PathLike[str]) -> dict[str, str]:
     """Read a flat config of ``key = value`` lines; ``#`` comments allowed.
 
     The lines come from ``read_lines``, so a leading byte-order mark is

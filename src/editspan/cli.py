@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from contextlib import closing, contextmanager
+from functools import partial
 from itertools import islice, zip_longest
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
@@ -105,14 +106,16 @@ def _apply_one(row: tuple[str, str]) -> tuple[str, int]:
     return detokenize(apply_edits(report.script, src)), report.ignored
 
 
-def _score_one(numbered: tuple[int, tuple[str, str, str]]) -> PairStats:
+def _score_one(targets_path: str, numbered: tuple[int, tuple[str, str, str]]) -> PairStats:
     from editspan.metrics import pair_stats
 
     lineno, (source, span_text, target) = numbered
     try:
         return pair_stats(tokenize(source), span_text, tokenize(target), _PROVIDER, _WEIGHTS)
     except DataError as exc:  # the three files are line-aligned
-        raise type(exc)(f"line {lineno}: {exc}") from None
+        # a hypothesis past the budget is noted, not raised, so this is the gold target
+        where = f"{targets_path}: " if isinstance(exc, BudgetError) else ""
+        raise type(exc)(f"{where}line {lineno}: {exc}") from None
 
 
 def _roundtrip_one(numbered: tuple[int, str]) -> Optional[str]:
@@ -206,25 +209,16 @@ def cmd_apply(args: argparse.Namespace) -> int:
     return 0
 
 
-def _note_over_budget(
-    stats: Iterable[PairStats], spans_path: str, targets_path: str
-) -> Iterator[PairStats]:
-    """Pass ``stats`` through, noting on stderr each hypothesis too long to align.
-
-    A gold target too long to align stops the command; its ``BudgetError``,
-    which names the line, is given the targets file's name.
-    """
-    try:
-        for lineno, stat in enumerate(stats, 1):
-            if stat.over_budget:
-                print(
-                    f"{spans_path}: line {lineno}: the hypothesis's result is too long to "
-                    "align; counted as not agreeing",
-                    file=sys.stderr,
-                )
-            yield stat
-    except BudgetError as exc:
-        raise BudgetError(f"{targets_path}: {exc}") from None
+def _note_over_budget(stats: Iterable[PairStats], spans_path: str) -> Iterator[PairStats]:
+    """Pass ``stats`` through, noting on stderr each hypothesis too long to align."""
+    for lineno, stat in enumerate(stats, 1):
+        if stat.over_budget:
+            print(
+                f"{spans_path}: line {lineno}: the hypothesis's result is too long to "
+                "align; counted as not agreeing",
+                file=sys.stderr,
+            )
+        yield stat
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -234,8 +228,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     rows = _read_rows(
         {"sources": args.sources, "spans": args.spans, "targets": args.targets}
     )
-    stats = _map_lines(_score_one, enumerate(rows, 1), args.jobs, provider, weights)
-    report = reduce_stats(_note_over_budget(stats, args.spans, args.targets))
+    score_one = partial(_score_one, args.targets)
+    stats = _map_lines(score_one, enumerate(rows, 1), args.jobs, provider, weights)
+    report = reduce_stats(_note_over_budget(stats, args.spans))
     if args.report == "text":
         for key, value in report.items():
             print(f"{key}: {value}")

@@ -11,10 +11,10 @@ index, and aligned only where a line was drawn.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
-from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from editspan._value import Value
 from editspan.alignment import CostWeights, extract_line
@@ -171,7 +171,7 @@ def mix_and_sample(
     ]
 
 
-def write_jsonl(records: Iterable[DatasetRecord], path: Union[str, Path]) -> int:
+def write_jsonl(records: Iterable[DatasetRecord], path: str | os.PathLike[str]) -> int:
     """Write records as JSON Lines; returns the number written.
 
     The file at ``path`` is replaced only once every record is written.
@@ -186,7 +186,7 @@ def write_jsonl(records: Iterable[DatasetRecord], path: Union[str, Path]) -> int
 
 
 def _read_jsonl(
-    path: Union[str, Path], required: Sequence[str], task: Optional[str] = None
+    path: str | os.PathLike[str], required: Sequence[str], task: Optional[str] = None
 ) -> list[DatasetRecord]:
     """Records from JSON Lines, one object per non-blank line.
 
@@ -224,11 +224,11 @@ def _read_jsonl(
     return records
 
 
-def read_open_ended_jsonl(path: Union[str, Path]) -> list[DatasetRecord]:
+def read_open_ended_jsonl(path: str | os.PathLike[str]) -> list[DatasetRecord]:
     """Ingest pre-existing instruction records, labelling them open-ended."""
     return _read_jsonl(path, ("instruction", "output"), OPEN_ENDED_TASK)
 
 
-def read_dataset_jsonl(path: Union[str, Path]) -> list[DatasetRecord]:
+def read_dataset_jsonl(path: str | os.PathLike[str]) -> list[DatasetRecord]:
     """Read back a dataset written by ``write_jsonl``."""
     return _read_jsonl(path, _FIELDS)

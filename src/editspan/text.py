@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import os
 import stat
+import sys
 import unicodedata
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import lru_cache
-from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence, TextIO, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence, TextIO
 
 from editspan._value import Value
 from editspan.errors import ConfigError, DataError, EditSpanError, PairLineError
@@ -32,7 +32,7 @@ _POS_ALIASES = {"PROPN": "NOUN", "AUX": "VERB", "CCONJ": "CONJ", "SCONJ": "CONJ"
 
 
 def read_lines(
-    path: Union[str, Path], error: type[EditSpanError] = DataError
+    path: str | os.PathLike[str], error: type[EditSpanError] = DataError
 ) -> Iterator[str]:
     """Yield the lines of the UTF-8 text file ``path``, each with its ``"\\n"``.
 
@@ -53,22 +53,42 @@ def read_lines(
             raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from None
 
 
+def _is_stdout(found: os.stat_result) -> bool:
+    """Whether ``found`` is the file that descriptor 1 writes to; a closed one writes to none."""
+    try:
+        return os.path.samestat(found, os.fstat(1))
+    except OSError:
+        return False
+
+
 @contextmanager
-def atomic_output(path: Union[str, Path]) -> Iterator[TextIO]:
+def atomic_output(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     """Open ``path`` for writing UTF-8 text with LF newlines, all or nothing.
 
-    The text goes to a new file beside the target, which replaces the target
-    only when the block exits normally. On an exception the new file is
-    removed and whatever was at ``path`` before is left as it was. A path
-    that exists but is not a regular file (a FIFO, ``/dev/stdout``) is
-    written in place, since it cannot be replaced. An error opening either
-    file names ``path`` as given.
+    A regular file, or a path where there is nothing, gets a new file beside
+    the file ``path`` resolves to, which replaces that file only when the
+    block exits normally. On an exception the new file is removed and
+    whatever was there before is left as it was. Anything else (a device, a
+    pipe, ``/dev/stdout``) cannot be replaced, so it is written in place, and
+    the file stdout writes to is written through stdout. An error opening
+    either file names ``path`` as given.
     """
-    target = Path(os.path.realpath(path))
-    in_place = target.exists() and not target.is_file()
-    opened = target if in_place else target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
-        handle = opened.open("w" if in_place else "x", encoding="utf-8", newline="\n")
+        found = os.stat(path or os.curdir)  # realpath, too, takes "" for the working directory
+    except OSError:  # nothing there: opening the new file reports the real error
+        found = None
+    if found is not None and _is_stdout(found):
+        # replacing it would drop what the shell writes there before and after
+        sys.stdout.flush()
+        with open(os.dup(1), "w", encoding="utf-8", newline="\n") as handle:
+            yield handle  # at stdout's own offset, and O_APPEND holds
+        return
+    in_place = found is not None and not stat.S_ISREG(found.st_mode)
+    if not in_place:  # the new file goes beside the file that path resolves to
+        head, name = os.path.split(os.path.realpath(path))
+    opened = path if in_place else os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        handle = open(opened, "w" if in_place else "x", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     if in_place:
@@ -77,12 +97,13 @@ def atomic_output(path: Union[str, Path]) -> Iterator[TextIO]:
         return
     try:
         with handle:
-            if target.exists():
-                os.chmod(opened, stat.S_IMODE(target.stat().st_mode))
+            if found is not None:
+                os.chmod(opened, stat.S_IMODE(found.st_mode))
             yield handle
-        os.replace(opened, target)
+        os.replace(opened, os.path.join(head, name))
     except BaseException:
-        opened.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(opened)
         raise
 
 
@@ -204,7 +225,7 @@ class SidecarProvider(Value):
         self.__dict__["annotations"] = annotations
 
     @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "SidecarProvider":
+    def from_file(cls, path: str | os.PathLike[str]) -> "SidecarProvider":
         mapping: dict[tuple[str, ...], tuple[AnnotatedToken, ...]] = {}
         tokens: dict[str, AnnotatedToken] = {}
         block: list[AnnotatedToken] = []
@@ -245,7 +266,7 @@ class SidecarProvider(Value):
 
 
 def make_provider(
-    name: str, annotations_path: Union[str, Path, None] = None
+    name: str, annotations_path: str | os.PathLike[str] | None = None
 ) -> AnnotationProvider:
     """Build a registered provider by name.
 

@@ -176,9 +176,9 @@ def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
 
 
 def test_commands_start_without_dataclasses_or_inspect(tmp_path):
-    # `dataclasses` pulls in `inspect`, which costs every command's start;
-    # -S keeps out whatever `site` would import, so a third-party import
-    # fails here too
+    # `dataclasses` pulls in `inspect`, and `pathlib` pulls in `urllib.parse`,
+    # `ipaddress` and `fnmatch`, which cost every command's start; -S keeps
+    # out whatever `site` would import, so a third-party import fails here too
     paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
     commands = [
         [a.format(out=tmp_path / "out.txt", **paths) for a in argv] for argv in (
@@ -193,7 +193,7 @@ def test_commands_start_without_dataclasses_or_inspect(tmp_path):
         "import sys\n"
         "import editspan.cli\n"
         "def check(when):\n"
-        "    loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "    loaded = sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules))\n"
         "    assert not loaded, f'{loaded} {when}'\n"
         "check('on import')\n"
         f"for argv in {commands!r}:\n"

@@ -14,11 +14,15 @@ bad weights, instructions and open-ended files, and directories in place of
 files, to ``extract`` and ``build-dataset``. The
 file-argument cases give an empty file and a directory to each file argument
 of each command, which must end with exit 0, 1 or 2, and on failure with one
-error line, no ``-o`` file and no temporary file.
+error line, no ``-o`` file and no temporary file. The ``-o`` cases give
+each command ``/dev/stdout`` into a pipe and into a file opened for append,
+and ``/dev/fd/N`` on a pipe: the output must be the bytes a regular ``-o``
+file gets, with what the shell writes around it kept.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import string
 import subprocess
@@ -193,11 +197,13 @@ INPUT_CASES = {
 }
 
 
-def _run(name: str, argv: list[str], cwd) -> subprocess.CompletedProcess:
+def _run(
+    name: str, argv: list[str], cwd, stdout=subprocess.PIPE, **popen
+) -> subprocess.CompletedProcess:
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "editspan.cli", *argv], capture_output=True, text=True,
-            encoding="utf-8", env=checkout_env(), cwd=cwd, timeout=BOUND_S,
+            [sys.executable, "-m", "editspan.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            text=True, encoding="utf-8", env=checkout_env(), cwd=cwd, timeout=BOUND_S, **popen,
         )
     except subprocess.TimeoutExpired:
         pytest.fail(f"{name}: {argv[0]} ran past {BOUND_S} s")
@@ -375,6 +381,14 @@ GOOD_FILES = {
     "pairs.tsv": PAIRS, "sources.txt": "a b\n", "spans.txt": "0 2 b a\n",
     "targets.txt": "b a\n", "open.jsonl": OPEN_ENDED,
 }
+
+
+def _write_good_files(directory) -> list[str]:
+    for file_name, text in GOOD_FILES.items():
+        (directory / file_name).write_text(text, encoding="utf-8")
+    return sorted(GOOD_FILES)
+
+
 # each command on the good inputs, and the file options it also takes
 COMMANDS = {
     "extract": (["extract", "pairs.tsv", "-o", "out.jsonl"], ("--weights", "--annotations")),
@@ -411,8 +425,7 @@ FILE_ARGUMENTS = _file_arguments()
 @pytest.mark.parametrize("name", FILE_ARGUMENTS)
 def test_empty_file_or_directory_as_file_argument(name, kind, tmp_path):
     argv = FILE_ARGUMENTS[name]
-    for file_name, text in GOOD_FILES.items():
-        (tmp_path / file_name).write_text(text, encoding="utf-8")
+    _write_good_files(tmp_path)
     given = tmp_path / GIVEN
     if kind == "directory":
         given.mkdir()
@@ -434,3 +447,78 @@ def test_empty_file_or_directory_as_file_argument(name, kind, tmp_path):
             assert list(given.iterdir()) == []
         else:
             assert given.read_text(encoding="utf-8") == ""
+
+
+# each command that takes -o, on the good inputs
+OUTPUT_COMMANDS = {name: argv for name, (argv, _) in COMMANDS.items() if "out.jsonl" in argv}
+
+
+def _output_to(argv: list[str], output: str) -> list[str]:
+    return [output if arg == "out.jsonl" else arg for arg in argv]
+
+
+@pytest.fixture(scope="module")
+def regular_output(tmp_path_factory) -> dict[str, str]:
+    """Each command's ``-o`` file from a run into a regular file, then its stdout."""
+    outputs = {}
+    for command, argv in OUTPUT_COMMANDS.items():
+        directory = tmp_path_factory.mktemp(command)
+        _write_good_files(directory)
+        result = _run(command, argv, directory)
+        assert (result.returncode, result.stderr) == (0, ""), command
+        outputs[command] = (directory / "out.jsonl").read_text(encoding="utf-8") + result.stdout
+    return outputs
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_to_stdout_in_a_pipe(command, jobs, regular_output, tmp_path):
+    # a pipe cannot be replaced: it gets the -o file's bytes, then the run's stdout
+    files = _write_good_files(tmp_path)
+    argv = _output_to(OUTPUT_COMMANDS[command], "/dev/stdout") + ["--jobs", jobs]
+    result = _run(command, argv, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, regular_output[command], "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def test_output_to_a_pipe_named_by_its_descriptor(regular_output, tmp_path):
+    # the shape of bash's `-o >(...)`: /dev/fd/N is a pipe the shell opened
+    _write_good_files(tmp_path)
+    read_end, write_end = os.pipe()
+    with open(read_end, encoding="utf-8") as reader:
+        try:
+            argv = _output_to(OUTPUT_COMMANDS["extract"], f"/dev/fd/{write_end}")
+            result = _run("pipe-descriptor", argv, tmp_path, pass_fds=(write_end,))
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert reader.read() == regular_output["extract"]
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_to_stdout_in_a_file_opened_for_append(command, regular_output, tmp_path):
+    # as in `{ editspan ... -o /dev/stdout; echo after; } >> log`: the log is
+    # written through, not replaced, so what the shell writes around it stays
+    files = sorted(_write_good_files(tmp_path) + ["log.txt"])
+    log = tmp_path / "log.txt"
+    log.write_text("old\n", encoding="utf-8")
+    with open(log, "a", encoding="utf-8") as stdout:
+        argv = _output_to(OUTPUT_COMMANDS[command], "/dev/stdout")
+        result = _run(command, argv, tmp_path, stdout=stdout)
+        stdout.write("after\n")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert log.read_text(encoding="utf-8") == "old\n" + regular_output[command] + "after\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_output_to_stdout_in_a_pipe_holds_the_lines_before_a_bad_one(jobs, tmp_path):
+    pairs = "a b\tb a\n" * 99 + "missing tab\n" + "a\tb\n" * 50
+    (tmp_path / "pairs.tsv").write_text(pairs, encoding="utf-8")
+    argv = ["extract", "pairs.tsv", "-o", "/dev/stdout", "--jobs", jobs]
+    result = _run("bad-line-to-stdout", argv, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "0 2 b a\n" * 99, "editspan: error: line 100: expected source<TAB>target, got 1 fields\n",
+    )
+    # no temporary file is left
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.tsv"]
