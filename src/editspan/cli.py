@@ -270,11 +270,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     # nothing but the counts, so only the sampled lines are ever aligned.
     corpora: dict[str, list[tuple[int, str]]] = {}
     for task, path in corpus_paths.items():
-        lines = list(read_lines(path))  # a line that does not decode names the file alone
-        try:
-            corpora[task], skipped = scan_pair_lines(lines, provider)
-        except DataError as exc:  # a sentence missing from the sidecar
-            raise DataError(f"{path}: {exc}") from None
+        corpora[task], skipped = scan_pair_lines(path, provider)
         for note in skipped:
             print(f"{path}: skipped {note}", file=sys.stderr)
     open_ended = read_open_ended_jsonl(args.open_ended)

@@ -94,19 +94,19 @@ def build_task_records(
 
 
 def scan_pair_lines(
-    lines: Iterable[str], provider=None
+    path: str | os.PathLike[str], provider=None
 ) -> tuple[list[tuple[int, str]], list[str]]:
-    """Check ``source<TAB>target`` lines as ``build_task_records`` would, without aligning.
+    """Check the ``source<TAB>target`` lines of ``path``, read once, without aligning.
 
     Returns the well-formed lines with their 1-based line numbers, plus the
-    same diagnostics for malformed ones. Both sides of every well-formed line
-    are tokenized and annotated, so a provider's ``DataError`` (a sentence
-    missing from the sidecar) stops the build whether or not the line is
-    sampled; its message names the line.
+    notes ``build_task_records`` gives on malformed ones. Both sides of each
+    well-formed line are tokenized and annotated, so a provider's ``DataError``
+    (a sentence missing from the sidecar) stops the build, sampled line or
+    not, naming ``path`` and the line. Bytes that do not decode name ``path``.
     """
     valid: list[tuple[int, str]] = []
     skipped: list[str] = []
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_lines(path), 1):
         try:
             src_text, tgt_text = parse_pair_line(line, lineno)
         except PairLineError as exc:
@@ -116,7 +116,7 @@ def scan_pair_lines(
             annotate(tokenize(src_text), provider)
             annotate(tokenize(tgt_text), provider)
         except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
         valid.append((lineno, line))
     return valid, skipped
 

@@ -53,12 +53,26 @@ def read_lines(
             raise error(f"{path}: not valid UTF-8 text ({exc.reason})") from None
 
 
-def _is_stdout(found: os.stat_result) -> bool:
-    """Whether ``found`` is the file that descriptor 1 writes to; a closed one writes to none."""
+def _writer_of(found: os.stat_result) -> Optional[int]:
+    """The lowest descriptor of this process open for writing on the file ``found``.
+
+    Descriptors 1 and 2 are looked at where ``/dev/fd`` cannot be listed.
+    """
     try:
-        return os.path.samestat(found, os.fstat(1))
+        fds = sorted(map(int, os.listdir("/dev/fd")))
     except OSError:
-        return False
+        fds = [1, 2]
+    for fd in fds:
+        try:
+            held = os.fstat(fd)
+        except OSError:  # closed, such as the one that listed /dev/fd
+            continue
+        if os.path.samestat(found, held):
+            import fcntl  # only here: a run whose -o no descriptor holds needs none
+
+            if fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_ACCMODE != os.O_RDONLY:
+                return fd
+    return None
 
 
 @contextmanager
@@ -69,19 +83,22 @@ def atomic_output(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     the file ``path`` resolves to, which replaces that file only when the
     block exits normally. On an exception the new file is removed and
     whatever was there before is left as it was. Anything else (a device, a
-    pipe, ``/dev/stdout``) cannot be replaced, so it is written in place, and
-    the file stdout writes to is written through stdout. An error opening
-    either file names ``path`` as given.
+    pipe, ``/dev/stdout``) cannot be replaced, so it is written in place. A
+    file one of this process's descriptors writes to (stdout, stderr,
+    ``/dev/fd/N``, or the same file by name) is written through the lowest
+    such descriptor. An error opening either file names ``path`` as given.
     """
     try:
         found = os.stat(path or os.curdir)  # realpath, too, takes "" for the working directory
     except OSError:  # nothing there: opening the new file reports the real error
         found = None
-    if found is not None and _is_stdout(found):
+    fd = None if found is None else _writer_of(found)
+    if fd is not None:
         # replacing it would drop what the shell writes there before and after
         sys.stdout.flush()
-        with open(os.dup(1), "w", encoding="utf-8", newline="\n") as handle:
-            yield handle  # at stdout's own offset, and O_APPEND holds
+        sys.stderr.flush()
+        with open(os.dup(fd), "w", encoding="utf-8", newline="\n") as handle:
+            yield handle  # at the descriptor's own offset, and O_APPEND holds
         return
     in_place = found is not None and not stat.S_ISREG(found.st_mode)
     if not in_place:  # the new file goes beside the file that path resolves to

@@ -175,6 +175,23 @@ def test_multiprocessing_is_imported_only_when_a_pool_starts(pairs_file):
     assert result.stdout.splitlines() == [SCHOLARS_SPANS, CASH_SPANS]
 
 
+def test_fcntl_is_imported_only_when_a_descriptor_holds_the_output(pairs_file, tmp_path):
+    # only a file that a descriptor holds needs the check of its access mode:
+    # a regular -o file imports no fcntl, and /dev/stdout, the captured pipe, does
+    out = str(tmp_path / "out.txt")
+    code = (
+        "import sys\n"
+        "import editspan.cli\n"
+        f"assert editspan.cli.main(['extract', {pairs_file!r}, '-o', {out!r}]) == 0\n"
+        "assert 'fcntl' not in sys.modules, 'fcntl loaded'\n"
+        f"assert editspan.cli.main(['extract', {pairs_file!r}, '-o', '/dev/stdout']) == 0\n"
+        "assert 'fcntl' in sys.modules\n"
+    )
+    result = _run_python("-S", "-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [SCHOLARS_SPANS, CASH_SPANS]
+
+
 def test_commands_start_without_dataclasses_or_inspect(tmp_path):
     # `dataclasses` pulls in `inspect`, and `pathlib` pulls in `urllib.parse`,
     # `ipaddress` and `fnmatch`, which cost every command's start; -S keeps
@@ -892,11 +909,14 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
 )
 def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, argv, bad, code, capsys):
     paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
-    (tmp_path / f"{bad}.in").write_bytes(b"\xff" + _INPUTS[bad].encode("utf-8"))
+    # a corpus's malformed line is noted only after the corpus has been read
+    malformed = b"no tab\n" if bad == "gec" else b""
+    (tmp_path / f"{bad}.in").write_bytes(malformed + b"\xff" + _INPUTS[bad].encode("utf-8"))
     out_path = tmp_path / "out.txt"
     assert main([a.format(out=out_path, **paths) for a in argv]) == code
     err = capsys.readouterr().err
-    assert f"{paths[bad]}: not valid UTF-8 text" in err
+    # the file is named once, and nothing else is printed
+    assert err == f"editspan: error: {paths[bad]}: not valid UTF-8 text (invalid start byte)\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.in" for n in _INPUTS)
 
 

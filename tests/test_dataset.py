@@ -180,18 +180,26 @@ def test_scan_pair_lines_checks_without_aligning(tmp_path, monkeypatch):
 
     # extraction and ``align`` share one band fill
     monkeypatch.setattr(alignment, "_fill_band", no_align)
-    lines = ["a b\ta c", "no tab", "x\ty", "one\ttwo\tthree"]
-    valid, skipped = scan_pair_lines(lines)
-    assert valid == [(1, "a b\ta c"), (3, "x\ty")]
+    lines = ["a b\ta c\n", "no tab\n", "x\ty\n", "one\ttwo\tthree\n"]
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("".join(lines), encoding="utf-8")
+    valid, skipped = scan_pair_lines(corpus)
+    assert valid == [(1, "a b\ta c\n"), (3, "x\ty\n")]
     monkeypatch.undo()
     assert skipped == build_task_records(lines, "gec")[1]
     sidecar = tmp_path / "annotations.tsv"
     sidecar.write_text("good\tgood\tADJ\n\npair\tpair\tNOUN\n", encoding="utf-8")
     provider = SidecarProvider.from_file(sidecar)
-    assert scan_pair_lines(["good\tpair", "no tab"], provider)[0] == [(1, "good\tpair")]
+    corpus.write_text("good\tpair\nno tab\n", encoding="utf-8")
+    assert scan_pair_lines(corpus, provider)[0] == [(1, "good\tpair\n")]
     for missing in ("unknown\tpair", "good\tunknown"):
-        with pytest.raises(DataError, match="no sidecar annotations for sentence: 'unknown'"):
-            scan_pair_lines(["good\tpair", missing], provider)
+        corpus.write_text(f"good\tpair\nno tab\n{missing}\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            scan_pair_lines(corpus, provider)
+        # the scan names its own file and line
+        assert str(caught.value) == (
+            f"{corpus}: line 3: no sidecar annotations for sentence: 'unknown'"
+        )
 
 
 def test_validate_dataset_accepts_built_records():

@@ -16,8 +16,11 @@ file-argument cases give an empty file and a directory to each file argument
 of each command, which must end with exit 0, 1 or 2, and on failure with one
 error line, no ``-o`` file and no temporary file. The ``-o`` cases give
 each command ``/dev/stdout`` into a pipe and into a file opened for append,
-and ``/dev/fd/N`` on a pipe: the output must be the bytes a regular ``-o``
-file gets, with what the shell writes around it kept.
+and ``/dev/fd/N`` on a pipe; ``extract`` also gets a file that stderr or
+another descriptor appends to, named as ``/dev/stderr``, ``/dev/fd/N`` or
+by its path: the output must be the bytes a regular ``-o`` file gets, with
+what the shell writes around it kept. A file that stdin only reads is
+replaced whole.
 """
 
 from __future__ import annotations
@@ -198,16 +201,16 @@ INPUT_CASES = {
 
 
 def _run(
-    name: str, argv: list[str], cwd, stdout=subprocess.PIPE, **popen
+    name: str, argv: list[str], cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen
 ) -> subprocess.CompletedProcess:
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "editspan.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+            [sys.executable, "-m", "editspan.cli", *argv], stdout=stdout, stderr=stderr,
             text=True, encoding="utf-8", env=checkout_env(), cwd=cwd, timeout=BOUND_S, **popen,
         )
     except subprocess.TimeoutExpired:
         pytest.fail(f"{name}: {argv[0]} ran past {BOUND_S} s")
-    assert "Traceback" not in result.stderr, result.stderr
+    assert "Traceback" not in (result.stderr or ""), result.stderr
     return result
 
 
@@ -508,6 +511,42 @@ def test_output_to_stdout_in_a_file_opened_for_append(command, regular_output, t
         stdout.write("after\n")
     assert (result.returncode, result.stderr) == (0, "")
     assert log.read_text(encoding="utf-8") == "old\n" + regular_output[command] + "after\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("shape", ["stderr", "descriptor", "name"])
+def test_output_to_a_file_another_descriptor_appends_to(shape, regular_output, tmp_path):
+    # as in `{ editspan ... -o /dev/stderr; echo after >&2; } 2>> log`, and with
+    # `3>> log` given as `-o /dev/fd/3` or as `-o log`: the log is written
+    # through that descriptor, not replaced, so what the shell writes stays
+    files = sorted(_write_good_files(tmp_path) + ["log.txt"])
+    log = tmp_path / "log.txt"
+    log.write_text("old\n", encoding="utf-8")
+    with open(log, "a", encoding="utf-8") as held:
+        output, popen = {
+            "stderr": ("/dev/stderr", {"stderr": held}),
+            "descriptor": (f"/dev/fd/{held.fileno()}", {"pass_fds": (held.fileno(),)}),
+            "name": ("log.txt", {"pass_fds": (held.fileno(),)}),
+        }[shape]
+        result = _run(shape, _output_to(OUTPUT_COMMANDS["extract"], output), tmp_path, **popen)
+        held.write("after\n")
+    assert (result.returncode, result.stdout) == (0, "")
+    assert log.read_text(encoding="utf-8") == "old\n" + regular_output["extract"] + "after\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+def test_output_that_stdin_reads_is_replaced_whole(regular_output, tmp_path):
+    # `editspan extract pairs.tsv -o out.jsonl < out.jsonl`: a descriptor that
+    # only reads the file cannot write it, so the file is replaced as usual
+    files = sorted(_write_good_files(tmp_path) + ["out.jsonl"])
+    output = tmp_path / "out.jsonl"
+    output.write_text(OLD_OUTPUT, encoding="utf-8")
+    with open(output, encoding="utf-8") as stdin:
+        result = _run("stdin", OUTPUT_COMMANDS["extract"], tmp_path, stdin=stdin)
+        assert os.stat(output).st_ino != os.fstat(stdin.fileno()).st_ino
+        assert stdin.read() == OLD_OUTPUT
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert output.read_text(encoding="utf-8") == regular_output["extract"]
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
