@@ -17,13 +17,15 @@ from itertools import islice, zip_longest
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from editspan.codec import apply_edits, parse, serialize
-from editspan.errors import BudgetError, ConfigError, DataError
+from editspan.errors import BudgetError, ConfigError, DataError, PairLineError
 from editspan.tasks import OPEN_ENDED_TASK, TASK_INSTRUCTIONS, MixSpec
 from editspan.text import (
     AnnotationProvider,
+    annotate,
     atomic_output,
     detokenize,
     make_provider,
+    parse_pair_line,
     read_lines,
     tokenize,
 )
@@ -141,7 +143,7 @@ def _record_one(job: tuple[str, str, str, int, str]) -> DatasetRecord:
     path, task, instruction, lineno, line = job
     try:
         return pair_record(line, task, instruction, _PROVIDER, _WEIGHTS, lineno)
-    except DataError as exc:  # a pair past the budget; the scan checked the rest
+    except DataError as exc:  # a pair past the budget; the corpus check caught the rest
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -257,7 +259,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
     from editspan.alignment import read_kv_config
-    from editspan.dataset import read_open_ended_jsonl, sample_picks, scan_pair_lines, write_jsonl
+    from editspan.dataset import read_open_ended_jsonl, sample_picks, write_jsonl
 
     provider, weights = _load_settings(args)
     overrides = read_kv_config(args.instructions) if args.instructions else {}
@@ -270,9 +272,19 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     # nothing but the counts, so only the sampled lines are ever aligned.
     corpora: dict[str, list[tuple[int, str]]] = {}
     for task, path in corpus_paths.items():
-        corpora[task], skipped = scan_pair_lines(path, provider)
-        for note in skipped:
-            print(f"{path}: skipped {note}", file=sys.stderr)
+        corpora[task] = valid = []
+        for lineno, line in enumerate(read_lines(path), 1):
+            try:
+                sides = parse_pair_line(line, lineno)
+            except PairLineError as exc:
+                print(f"{path}: skipped {exc}", file=sys.stderr)
+                continue
+            try:  # a sentence missing from the sidecar stops the build, sampled or not
+                for side in sides:
+                    annotate(tokenize(side), provider)
+            except DataError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            valid.append((lineno, line))
     open_ended = read_open_ended_jsonl(args.open_ended)
     sizes = {task: len(lines) for task, lines in corpora.items()}
     picks = sample_picks(sizes, len(open_ended), spec)

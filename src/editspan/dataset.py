@@ -22,14 +22,7 @@ from editspan.codec import serialize
 from editspan.errors import ConfigError, DataError, PairLineError
 # the task table, MixSpec and atomic_output are importable from here, too
 from editspan.tasks import OPEN_ENDED_TASK, TASK_INSTRUCTIONS, TASK_LABELS, MixSpec
-from editspan.text import (
-    annotate,
-    atomic_output,
-    detokenize,
-    parse_pair_line,
-    read_lines,
-    tokenize,
-)
+from editspan.text import atomic_output, detokenize, read_lines
 
 
 class DatasetRecord(Value):
@@ -91,34 +84,6 @@ def build_task_records(
         except PairLineError as exc:
             skipped.append(str(exc))
     return records, skipped
-
-
-def scan_pair_lines(
-    path: str | os.PathLike[str], provider=None
-) -> tuple[list[tuple[int, str]], list[str]]:
-    """Check the ``source<TAB>target`` lines of ``path``, read once, without aligning.
-
-    Returns the well-formed lines with their 1-based line numbers, plus the
-    notes ``build_task_records`` gives on malformed ones. Both sides of each
-    well-formed line are tokenized and annotated, so a provider's ``DataError``
-    (a sentence missing from the sidecar) stops the build, sampled line or
-    not, naming ``path`` and the line. Bytes that do not decode name ``path``.
-    """
-    valid: list[tuple[int, str]] = []
-    skipped: list[str] = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        try:
-            src_text, tgt_text = parse_pair_line(line, lineno)
-        except PairLineError as exc:
-            skipped.append(str(exc))
-            continue
-        try:
-            annotate(tokenize(src_text), provider)
-            annotate(tokenize(tgt_text), provider)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
-        valid.append((lineno, line))
-    return valid, skipped
 
 
 def sample_picks(

@@ -83,7 +83,8 @@ def atomic_output(path: str | os.PathLike[str]) -> Iterator[TextIO]:
     the file ``path`` resolves to, which replaces that file only when the
     block exits normally. On an exception the new file is removed and
     whatever was there before is left as it was. Anything else (a device, a
-    pipe, ``/dev/stdout``) cannot be replaced, so it is written in place. A
+    pipe, ``/dev/stdout``) cannot be replaced, so it is written in place, as
+    is a path that ends in ``/``, ``.`` or ``..``, which ``open`` refuses. A
     file one of this process's descriptors writes to (stdout, stderr,
     ``/dev/fd/N``, or the same file by name) is written through the lowest
     such descriptor. An error opening either file names ``path`` as given.
@@ -100,10 +101,14 @@ def atomic_output(path: str | os.PathLike[str]) -> Iterator[TextIO]:
         with open(os.dup(fd), "w", encoding="utf-8", newline="\n") as handle:
             yield handle  # at the descriptor's own offset, and O_APPEND holds
         return
-    in_place = found is not None and not stat.S_ISREG(found.st_mode)
+    # a path that ends in "/", "." or ".." names a directory, though realpath drops that
+    in_place = os.path.basename(path) in ("", ".", "..") or (
+        found is not None and not stat.S_ISREG(found.st_mode)
+    )
     if not in_place:  # the new file goes beside the file that path resolves to
         head, name = os.path.split(os.path.realpath(path))
-    opened = path if in_place else os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    # not named after the target, whose name may be as long as a name can be
+    opened = path if in_place else os.path.join(head, f".editspan-{os.urandom(6).hex()}.tmp")
     try:
         handle = open(opened, "w" if in_place else "x", encoding="utf-8", newline="\n")
     except OSError as exc:

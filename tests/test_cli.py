@@ -831,6 +831,48 @@ def test_build_dataset_unsampled_line_missing_from_sidecar_is_a_data_error(
     assert not out_path.exists()
 
 
+def test_build_dataset_checks_corpora_without_aligning(tmp_path, monkeypatch, capsys):
+    def no_align(*args):
+        raise AssertionError("the corpus check aligned a line")
+
+    lines = ["a b\ta c\n", "no tab\n", "x\ty\n", "one\ttwo\tthree\n"]
+    corpus = _write(tmp_path / "corpus.tsv", "".join(lines))
+    out_path = tmp_path / "mix.jsonl"
+    args = [
+        "build-dataset", *(a for task in TASK_INSTRUCTIONS for a in (f"--{task}", corpus)),
+        "--open-ended", _write(tmp_path / "open.jsonl", ""), "--open-count", "0",
+        "-o", str(out_path),
+    ]
+    # extraction and ``align`` share one band fill
+    monkeypatch.setattr(alignment, "_fill_band", no_align)
+    assert main(args + ["--per-task", "0"]) == 0
+    monkeypatch.undo()
+    notes = "".join(f"{corpus}: skipped {note}\n" for note in build_task_records(lines, "gec")[1])
+    assert capsys.readouterr().err == 4 * notes
+    # the well-formed lines, and no others, are kept to be sampled
+    assert main(args + ["--per-task", "2"]) == 0
+    assert sorted(r.input for r in read_dataset_jsonl(out_path)) == 4 * ["a b"] + 4 * ["x"]
+    sidecar = _write(tmp_path / "annotations.tsv", "good\tgood\tADJ\n\npair\tpair\tNOUN\n")
+    args += ["--provider", "sidecar", "--annotations", sidecar]
+    _write(tmp_path / "corpus.tsv", "good\tpair\nno tab\n")
+    assert main(args + ["--per-task", "1"]) == 0
+    assert [r.input for r in read_dataset_jsonl(out_path)] == 4 * ["good"]
+    out_path.unlink()
+    capsys.readouterr()
+    for missing in ("unknown\tpair", "good\tunknown"):
+        _write(tmp_path / "corpus.tsv", f"good\tpair\nno tab\n{missing}\n")
+        assert main(args + ["--per-task", "0"]) == 2
+        # the note on line 2 is printed before line 3 stops the build
+        assert capsys.readouterr() == ("", (
+            f"{corpus}: skipped line 2: expected source<TAB>target, got 1 fields\n"
+            f"editspan: error: {corpus}: line 3: no sidecar annotations for sentence: 'unknown'\n"
+        ))
+        # no output file, and no temporary file
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "annotations.tsv", "corpus.tsv", "open.jsonl",
+        ]
+
+
 # one small file of every input kind; two lines each, so an ending shows
 _INPUTS = {
     "pairs": "a b\ta c\nthe cat\tthe cats\n",
@@ -909,7 +951,7 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
 )
 def test_input_that_is_not_utf8_is_a_clean_error(tmp_path, argv, bad, code, capsys):
     paths = {name: _write(tmp_path / f"{name}.in", text) for name, text in _INPUTS.items()}
-    # a corpus's malformed line is noted only after the corpus has been read
+    # the bad bytes are in the first chunk read, so no line is read before the error
     malformed = b"no tab\n" if bad == "gec" else b""
     (tmp_path / f"{bad}.in").write_bytes(malformed + b"\xff" + _INPUTS[bad].encode("utf-8"))
     out_path = tmp_path / "out.txt"

@@ -9,7 +9,6 @@ from collections import Counter
 
 import pytest
 
-from editspan import alignment
 from editspan.dataset import (
     DatasetRecord,
     MixSpec,
@@ -19,7 +18,6 @@ from editspan.dataset import (
     mix_and_sample,
     read_dataset_jsonl,
     read_open_ended_jsonl,
-    scan_pair_lines,
     write_jsonl,
 )
 from editspan.errors import ConfigError, DataError
@@ -172,34 +170,6 @@ def test_mix_and_sample_matches_list_sampling_reference():
             assert str(caught.value) == str(exc)
             continue
         assert mix_and_sample(task_sets, open_ended, spec) == expected
-
-
-def test_scan_pair_lines_checks_without_aligning(tmp_path, monkeypatch):
-    def no_align(*args):
-        raise AssertionError("scan_pair_lines aligned a line")
-
-    # extraction and ``align`` share one band fill
-    monkeypatch.setattr(alignment, "_fill_band", no_align)
-    lines = ["a b\ta c\n", "no tab\n", "x\ty\n", "one\ttwo\tthree\n"]
-    corpus = tmp_path / "corpus.tsv"
-    corpus.write_text("".join(lines), encoding="utf-8")
-    valid, skipped = scan_pair_lines(corpus)
-    assert valid == [(1, "a b\ta c\n"), (3, "x\ty\n")]
-    monkeypatch.undo()
-    assert skipped == build_task_records(lines, "gec")[1]
-    sidecar = tmp_path / "annotations.tsv"
-    sidecar.write_text("good\tgood\tADJ\n\npair\tpair\tNOUN\n", encoding="utf-8")
-    provider = SidecarProvider.from_file(sidecar)
-    corpus.write_text("good\tpair\nno tab\n", encoding="utf-8")
-    assert scan_pair_lines(corpus, provider)[0] == [(1, "good\tpair\n")]
-    for missing in ("unknown\tpair", "good\tunknown"):
-        corpus.write_text(f"good\tpair\nno tab\n{missing}\n", encoding="utf-8")
-        with pytest.raises(DataError) as caught:
-            scan_pair_lines(corpus, provider)
-        # the scan names its own file and line
-        assert str(caught.value) == (
-            f"{corpus}: line 3: no sidecar annotations for sentence: 'unknown'"
-        )
 
 
 def test_validate_dataset_accepts_built_records():

@@ -20,7 +20,8 @@ and ``/dev/fd/N`` on a pipe; ``extract`` also gets a file that stderr or
 another descriptor appends to, named as ``/dev/stderr``, ``/dev/fd/N`` or
 by its path: the output must be the bytes a regular ``-o`` file gets, with
 what the shell writes around it kept. A file that stdin only reads is
-replaced whole.
+replaced whole. A name of 255 bytes is written, new or existing, and a path
+that ends in ``/`` or ``/.`` is refused as ``open`` refuses it.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ INPUT_CASES = {
         SIDECAR, {**_pairs("a b", "b a"), "side.txt": "a\ta\tDET\nb\tb\tNOUN"}, 2, "",
         "editspan: error: line 1: no sidecar annotations for sentence: 'b a'\n",
     ),
-    # the scan annotates every line, so the missing one is named by file and line
+    # the corpus check annotates every line, so the missing one is named by file and line
     "sidecar-missing-sentence-build-dataset": (
         [
             "build-dataset", "--gec", "gec.tsv", "--paraphrase", "pairs.tsv", "--style",
@@ -547,6 +548,43 @@ def test_output_that_stdin_reads_is_replaced_whole(regular_output, tmp_path):
         assert stdin.read() == OLD_OUTPUT
     assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
     assert output.read_text(encoding="utf-8") == regular_output["extract"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+LONGEST = "a" * 251 + ".txt"  # 255 bytes, the longest name most file systems take
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command", ["extract", "build-dataset"])
+def test_output_with_the_longest_name(command, exists, regular_output, tmp_path):
+    files = sorted(_write_good_files(tmp_path) + [LONGEST])
+    if exists:
+        (tmp_path / LONGEST).write_text(OLD_OUTPUT, encoding="utf-8")
+    result = _run(command, _output_to(OUTPUT_COMMANDS[command], LONGEST), tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    written = (tmp_path / LONGEST).read_text(encoding="utf-8")
+    assert written + result.stdout == regular_output[command]
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+
+
+# -o: the error; "held" is a regular file and "fresh" is not there
+DIRECTORY_OUTPUTS = {
+    "held/": _is_a_directory("held/"),
+    "fresh/": _is_a_directory("fresh/"),
+    "held/.": "editspan: error: [Errno 20] Not a directory: 'held/.'\n",
+    "fresh/.": "editspan: error: [Errno 2] No such file or directory: 'fresh/.'\n",
+}
+
+
+@pytest.mark.parametrize("output", DIRECTORY_OUTPUTS)
+@pytest.mark.parametrize("command", ["extract", "build-dataset"])
+def test_output_path_that_names_a_directory(command, output, tmp_path):
+    # realpath drops the ending, but open refuses the path
+    files = sorted(_write_good_files(tmp_path) + ["held"])
+    (tmp_path / "held").write_text(OLD_OUTPUT, encoding="utf-8")
+    result = _run(output, _output_to(OUTPUT_COMMANDS[command], output), tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", DIRECTORY_OUTPUTS[output])
+    assert (tmp_path / "held").read_text(encoding="utf-8") == OLD_OUTPUT
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 

@@ -45,7 +45,9 @@ DATASET = [
 COMMANDS = {
     "extract": (["extract", "pairs.tsv", "-o", "out.txt"], N),
     "apply": (["apply", "sources.txt", "spans.txt", "-o", "out.txt"], N),
-    # fewer lines: the scan reads each of the four corpora, and the growth
+    # fewer lines: each row is aligned twice
+    "score": (["score", "sources.txt", "spans.txt", "targets.txt"], N // 2),
+    # fewer lines: the corpus check reads each of the four corpora, and the growth
     # is four times a corpus's lines
     "build-dataset": (DATASET, N // 4),
 }
@@ -55,7 +57,7 @@ def _start(directory, argv: list[str], lines: int) -> subprocess.Popen:
     directory.mkdir()
     files = {
         "pairs.tsv": f"{SOURCE}\t{TARGET}\n", "sources.txt": f"{SOURCE}\n",
-        "spans.txt": f"{SPANS}\n",
+        "spans.txt": f"{SPANS}\n", "targets.txt": f"{TARGET}\n",
     }
     for name, line in files.items():
         (directory / name).write_text(line * lines, encoding="utf-8")
@@ -80,6 +82,7 @@ def _peak_kb(process: subprocess.Popen) -> int:
     [
         "extract",
         "apply",
+        "score",
         pytest.param(
             "build-dataset",
             marks=pytest.mark.xfail(
